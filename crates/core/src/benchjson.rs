@@ -336,22 +336,31 @@ pub fn compare_bench_reports(history: &[&BenchReport], threshold: f64) -> Vec<Be
     out
 }
 
-/// Geometric mean of a report's medians over `names` (every name must be
-/// present). The *speed basis* of the report: a machine running uniformly
-/// 1.4× slower scales every median — and therefore the basis — by 1.4.
-fn speed_basis(report: &BenchReport, names: &[String]) -> f64 {
-    let ln_sum: f64 = names
+/// The *speed basis* of `report` relative to `reference`: the median, over
+/// `names` (present in both), of the ratio of its medians to the
+/// reference's. A machine running uniformly 1.4× slower scales every ratio
+/// — and therefore the basis — by 1.4, while one bench that genuinely got
+/// faster or slower moves only its own ratio and leaves the median where
+/// the rest of the suite puts it. An even count takes the mean of the two
+/// middle ratios.
+fn speed_basis(report: &BenchReport, reference: &BenchReport, names: &[String]) -> f64 {
+    let median_ns = |r: &BenchReport, n: &String| {
+        r.result(n)
+            .expect("basis bench present")
+            .median_ns
+            .max(1e-9)
+    };
+    let mut ratios: Vec<f64> = names
         .iter()
-        .map(|n| {
-            report
-                .result(n)
-                .expect("basis bench present")
-                .median_ns
-                .max(1e-9)
-                .ln()
-        })
-        .sum();
-    (ln_sum / names.len().max(1) as f64).exp()
+        .map(|n| median_ns(report, n) / median_ns(reference, n))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    }
 }
 
 /// The benches shared by *every* report in the trajectory — the set the
@@ -370,33 +379,36 @@ fn common_benches(history: &[&BenchReport]) -> Vec<String> {
 }
 
 /// How much faster (>1) or slower (<1) the latest report's machine ran
-/// than the baseline reports', as the ratio of geometric-mean speed bases.
-/// `None` when the trajectory is not calibratable (fewer than two reports,
-/// or fewer than two shared benches).
+/// than the baseline reports': the geometric mean of the baseline reports'
+/// speed bases relative to the latest report. `None` when the trajectory
+/// is not calibratable (fewer than two reports, or fewer than two shared
+/// benches).
 pub fn calibration_speed_factor(history: &[&BenchReport]) -> Option<f64> {
     let (latest, rest) = history.split_last()?;
     let common = common_benches(history);
     if rest.is_empty() || common.len() < 2 {
         return None;
     }
-    let ln_sum: f64 = rest.iter().map(|r| speed_basis(r, &common).ln()).sum();
-    let baseline_basis = (ln_sum / rest.len() as f64).exp();
-    Some(baseline_basis / speed_basis(latest, &common))
+    let ln_sum: f64 = rest
+        .iter()
+        .map(|r| speed_basis(r, latest, &common).ln())
+        .sum();
+    Some((ln_sum / rest.len() as f64).exp())
 }
 
-/// [`compare_bench_reports`], but with each report's medians normalized by
-/// its own speed basis over the shared bench set first, so *uniform*
-/// machine-speed shifts (a slower CI runner, a throttled laptop) cancel
-/// out and only benches that moved relative to the rest of the suite are
-/// flagged. This is the CI default: across heterogeneous runners an
-/// absolute gate flags everything or nothing.
+/// [`compare_bench_reports`], but with each baseline report's medians
+/// divided by its speed basis relative to the latest report over the
+/// shared bench set first, so *uniform* machine-speed shifts (a slower CI
+/// runner, a throttled laptop) cancel out and only benches that moved
+/// relative to the rest of the suite are flagged. This is the CI default:
+/// across heterogeneous runners an absolute gate flags everything or
+/// nothing.
 ///
-/// The verdict is computed on normalized values; the reported
-/// baseline/latest numbers are re-expressed at the *latest* report's
-/// machine speed, so the rendered lines stay directly comparable. The
-/// blind spot is a genuinely uniform regression across the whole suite
-/// (e.g. an allocator change) — that shows up in
-/// [`calibration_speed_factor`], which callers should surface.
+/// The baselines are thereby expressed at the *latest* report's machine
+/// speed, so the rendered lines stay directly comparable. The blind spot
+/// is a regression shared by most of the suite (e.g. an allocator change)
+/// — that shows up in [`calibration_speed_factor`], which callers should
+/// surface.
 ///
 /// Falls back to the absolute comparison when fewer than two benches are
 /// shared across the whole trajectory (normalizing a single bench by
@@ -412,10 +424,9 @@ pub fn compare_bench_reports_calibrated(
     if baseline_reports.is_empty() || common.len() < 2 {
         return compare_bench_reports(history, threshold);
     }
-    let latest_basis = speed_basis(latest, &common);
     let bases: Vec<f64> = baseline_reports
         .iter()
-        .map(|r| speed_basis(r, &common))
+        .map(|r| speed_basis(r, latest, &common))
         .collect();
     let mut out = Vec::new();
     for record in &latest.results {
@@ -428,18 +439,13 @@ pub fn compare_bench_reports_calibrated(
             continue;
         }
         let higher_is_better = !lower_is_better_units(&record.units);
-        let verdict = baseline_verdict(
-            &baseline,
-            record.median_ns / latest_basis,
-            higher_is_better,
-            threshold,
-        );
+        let verdict = baseline_verdict(&baseline, record.median_ns, higher_is_better, threshold);
         let improved = verdict.change > threshold && verdict.beyond_noise;
         out.push(BenchComparison {
             name: record.name.clone(),
             group: record.group.clone(),
-            baseline_ns: verdict.baseline_mean * latest_basis,
-            baseline_std_ns: verdict.baseline_std * latest_basis,
+            baseline_ns: verdict.baseline_mean,
+            baseline_std_ns: verdict.baseline_std,
             latest_ns: record.median_ns,
             change: verdict.change,
             regressed: verdict.regressed,

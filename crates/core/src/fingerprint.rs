@@ -31,7 +31,7 @@
 //! result worth replaying), and neither do spliced cache hits (only real
 //! measurements re-seed the cache).
 
-use crate::ledger::LedgerLoad;
+use crate::ledger::{LedgerLoad, RunRecord};
 use benchpark_ramble::{ExperimentResult, ExperimentStatus};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -179,29 +179,72 @@ impl FingerprintIndex {
     /// earlier entry for the same fingerprint. This is the incremental
     /// update path a long-lived daemon uses after each `append_run`: the
     /// in-memory index tracks the shard without replaying it from disk.
-    pub fn index_run(&mut self, run: &crate::ledger::RunRecord) {
-        for (experiment, fingerprint) in &run.fingerprints {
-            if fingerprint.is_empty() {
-                continue;
-            }
-            let Some(result) = run.results.iter().find(|r| &r.experiment == experiment) else {
-                continue;
+    pub fn index_run(&mut self, run: &RunRecord) {
+        for (slot, result) in Self::indexable(run) {
+            let fingerprint = run.fingerprints[slot].1.clone();
+            self.insert(run, fingerprint, run.results[result].clone());
+        }
+    }
+
+    /// Like [`FingerprintIndex::index_run`], but moves the indexed results
+    /// out of an owned run instead of copying them.
+    pub(crate) fn absorb_run(&mut self, mut run: RunRecord) {
+        let picks: Vec<(usize, usize)> = Self::indexable(&run).collect();
+        // the last pick naming a result moves it, any earlier one copies it
+        let mut last_pick = vec![usize::MAX; run.results.len()];
+        for (k, &(_, result)) in picks.iter().enumerate() {
+            last_pick[result] = k;
+        }
+        let mut results: Vec<Option<ExperimentResult>> = std::mem::take(&mut run.results)
+            .into_iter()
+            .map(Some)
+            .collect();
+        for (k, &(slot, result)) in picks.iter().enumerate() {
+            let taken = if last_pick[result] == k {
+                results[result].take()
+            } else {
+                results[result].clone()
             };
-            if result.status != ExperimentStatus::Success || result.cached {
-                continue;
-            }
-            self.entries.insert(
-                fingerprint.clone(),
-                CachedExperiment {
-                    fingerprint: fingerprint.clone(),
-                    sequence: run.sequence,
-                    system: run.system.clone(),
-                    benchmark: run.benchmark.clone(),
-                    variant: run.variant.clone(),
-                    result: result.clone(),
-                },
+            let fingerprint = std::mem::take(&mut run.fingerprints[slot].1);
+            self.insert(
+                &run,
+                fingerprint,
+                taken.expect("taken on its last pick only"),
             );
         }
+    }
+
+    /// `(fingerprint slot, result slot)` of every result `run` indexes, in
+    /// fingerprint order: the first result of each fingerprinted
+    /// experiment, when it succeeded and was executed rather than spliced.
+    fn indexable(run: &RunRecord) -> impl Iterator<Item = (usize, usize)> + '_ {
+        run.fingerprints
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, fingerprint))| !fingerprint.is_empty())
+            .filter_map(|(slot, (experiment, _))| {
+                let index = run
+                    .results
+                    .iter()
+                    .position(|r| &r.experiment == experiment)?;
+                let result = &run.results[index];
+                (result.status == ExperimentStatus::Success && !result.cached)
+                    .then_some((slot, index))
+            })
+    }
+
+    fn insert(&mut self, run: &RunRecord, fingerprint: String, result: ExperimentResult) {
+        self.entries.insert(
+            fingerprint.clone(),
+            CachedExperiment {
+                fingerprint,
+                sequence: run.sequence,
+                system: run.system.clone(),
+                benchmark: run.benchmark.clone(),
+                variant: run.variant.clone(),
+                result,
+            },
+        );
     }
 
     /// The cached experiment for `fingerprint`, if any.

@@ -36,6 +36,7 @@
 //!   and reports absent stage timings, but stays fully usable for
 //!   `history`/`regress`.
 
+use crate::fingerprint::FingerprintIndex;
 use crate::metrics::MetricsDatabase;
 use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
 use benchpark_telemetry::{TelemetryReport, TelemetrySink};
@@ -706,6 +707,29 @@ impl ShardedLedger {
             }
         }
         load
+    }
+
+    /// Consumes the view into each tenant's fingerprint index: for every
+    /// tenant with a shard, the index
+    /// `FingerprintIndex::from_ledger(&self.tenant_view(tenant))` builds,
+    /// with the same tenant-local sequences, but with the indexed results
+    /// moved out of the merged runs instead of copied.
+    pub fn into_tenant_indexes(self) -> BTreeMap<String, FingerprintIndex> {
+        // tenant -> (runs seen so far, index)
+        let mut indexes: BTreeMap<String, (u64, FingerprintIndex)> = BTreeMap::new();
+        for shard in self.shards {
+            indexes.entry(shard.tenant).or_default();
+        }
+        for (mut run, tenant) in self.merged.runs.into_iter().zip(self.tenants) {
+            let (seen, index) = indexes.entry(tenant).or_default();
+            *seen += 1;
+            run.sequence = *seen;
+            index.absorb_run(run);
+        }
+        indexes
+            .into_iter()
+            .map(|(tenant, (_, index))| (tenant, index))
+            .collect()
     }
 
     /// Tenant names with at least one shard, sorted.

@@ -69,9 +69,17 @@ impl MetricsDatabase {
         sequence
     }
 
-    /// All records (cloned snapshot).
+    /// All records, as a deep copy (manifests and variable maps included).
+    /// Analysis that only reads should use [`MetricsDatabase::with_records`].
     pub fn all(&self) -> Vec<StoredResult> {
         self.inner.read().records.clone()
+    }
+
+    /// Calls `f` on every stored record, in insertion order, borrowed under
+    /// the read lock: the copy-free read path for analysis. `f` must not
+    /// write to this database.
+    pub fn with_records<R>(&self, f: impl FnOnce(&[StoredResult]) -> R) -> R {
+        f(&self.inner.read().records)
     }
 
     /// Number of stored results.
@@ -84,7 +92,9 @@ impl MetricsDatabase {
         self.len() == 0
     }
 
-    /// Records matching the given benchmark and system (`None` = any).
+    /// Copies of the records matching the given benchmark and system
+    /// (`None` = any). Analysis that only reads should use
+    /// [`MetricsDatabase::with_records`].
     pub fn query(&self, benchmark: Option<&str>, system: Option<&str>) -> Vec<StoredResult> {
         self.inner
             .read()

@@ -49,32 +49,40 @@ impl RegressionReport {
     }
 }
 
-/// Per-sequence means of a FOM for one (benchmark, system).
-fn sequence_means(
-    db: &MetricsDatabase,
+/// The verdict for one FOM series, given its `(sequence, value)` sightings
+/// in record order. Each sequence contributes the mean of its values,
+/// summed in record order; the latest sequence is judged against the
+/// earlier ones. `None` when fewer than 3 sequences exist.
+fn series_report(
     benchmark: &str,
     system: &str,
     fom: &str,
-) -> Vec<(u64, f64)> {
-    use std::collections::BTreeMap;
-    let mut by_seq: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    for record in db.query(Some(benchmark), Some(system)) {
-        if record.result.status != ExperimentStatus::Success {
-            continue;
-        }
-        for f in &record.result.foms {
-            if f.name == fom {
-                if let Some(v) = f.as_f64() {
-                    by_seq.entry(record.sequence).or_default().push(v);
-                }
-            }
-        }
+    mut points: Vec<(u64, f64)>,
+    higher_is_better: bool,
+    threshold: f64,
+) -> Option<RegressionReport> {
+    // stable, so values within one sequence keep their record order
+    points.sort_by_key(|&(sequence, _)| sequence);
+    let means: Vec<f64> = points
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|sightings| sightings.iter().map(|&(_, v)| v).sum::<f64>() / sightings.len() as f64)
+        .collect();
+    if means.len() < 3 {
+        return None;
     }
-    by_seq
-        .into_iter()
-        .filter(|(_, vs)| !vs.is_empty())
-        .map(|(seq, vs)| (seq, vs.iter().sum::<f64>() / vs.len() as f64))
-        .collect()
+    let (&latest_mean, baseline) = means.split_last().expect("len >= 3");
+    let verdict = baseline_verdict(baseline, latest_mean, higher_is_better, threshold);
+    Some(RegressionReport {
+        benchmark: benchmark.to_string(),
+        system: system.to_string(),
+        fom: fom.to_string(),
+        baseline_mean: verdict.baseline_mean,
+        baseline_std: verdict.baseline_std,
+        latest_mean,
+        change: verdict.change,
+        regressed: verdict.regressed,
+        history_len: baseline.len(),
+    })
 }
 
 /// The statistic shared by every trajectory gate: FOM histories
@@ -148,24 +156,21 @@ pub fn detect_regression(
     higher_is_better: bool,
     threshold: f64,
 ) -> Option<RegressionReport> {
-    let means = sequence_means(db, benchmark, system, fom);
-    if means.len() < 3 {
-        return None;
-    }
-    let (_, latest_mean) = *means.last().expect("len >= 3");
-    let baseline: Vec<f64> = means[..means.len() - 1].iter().map(|(_, m)| *m).collect();
-    let verdict = baseline_verdict(&baseline, latest_mean, higher_is_better, threshold);
-    Some(RegressionReport {
-        benchmark: benchmark.to_string(),
-        system: system.to_string(),
-        fom: fom.to_string(),
-        baseline_mean: verdict.baseline_mean,
-        baseline_std: verdict.baseline_std,
-        latest_mean,
-        change: verdict.change,
-        regressed: verdict.regressed,
-        history_len: baseline.len(),
-    })
+    let points = db.with_records(|records| {
+        records
+            .iter()
+            .filter(|r| r.benchmark == benchmark && r.system == system)
+            .filter(|r| r.result.status == ExperimentStatus::Success)
+            .flat_map(|r| {
+                r.result
+                    .foms
+                    .iter()
+                    .filter(|f| f.name == fom)
+                    .filter_map(|f| Some((r.sequence, f.as_f64()?)))
+            })
+            .collect()
+    });
+    series_report(benchmark, system, fom, points, higher_is_better, threshold)
 }
 
 /// Heuristic: whether a FOM with these units improves downward (runtimes,
@@ -242,47 +247,46 @@ fn is_time_unit(u: &str) -> bool {
 }
 
 /// Scans the whole database: every `(benchmark, system, fom)` triple with
-/// enough history gets a [`detect_regression`] verdict, directions inferred
-/// from FOM units via [`lower_is_better_units`]. The pipeline's
-/// self-instrumentation pseudo-benchmark (`benchpark-pipeline`) is excluded —
-/// its counters are health telemetry, not performance figures. Verdicts are
-/// sorted by (benchmark, system, fom).
+/// enough history gets the [`detect_regression`] verdict, directions
+/// inferred from the units of the triple's latest sighting via
+/// [`lower_is_better_units`]. One borrowed walk over the records groups
+/// every series at once. The pipeline's self-instrumentation
+/// pseudo-benchmark (`benchpark-pipeline`) is excluded — its counters are
+/// health telemetry, not performance figures. Verdicts are sorted by
+/// (benchmark, system, fom).
 pub fn scan_regressions(db: &MetricsDatabase, threshold: f64) -> Vec<RegressionReport> {
     use std::collections::BTreeMap;
-    // (benchmark, system, fom) -> units of the most recent sighting
-    let mut triples: BTreeMap<(String, String, String), String> = BTreeMap::new();
-    for record in db.all() {
-        if record.benchmark == "benchpark-pipeline" {
-            continue;
-        }
-        if record.result.status != ExperimentStatus::Success {
-            continue;
-        }
-        for fom in &record.result.foms {
-            if fom.as_f64().is_none() {
+    db.with_records(|records| {
+        // (benchmark, system, fom) -> (units of the latest sighting, sightings)
+        type Series<'a> = (&'a str, Vec<(u64, f64)>);
+        let mut series: BTreeMap<(&str, &str, &str), Series> = BTreeMap::new();
+        for record in records {
+            if record.benchmark == "benchpark-pipeline"
+                || record.result.status != ExperimentStatus::Success
+            {
                 continue;
             }
-            triples.insert(
-                (
-                    record.benchmark.clone(),
-                    record.system.clone(),
-                    fom.name.clone(),
-                ),
-                fom.units.clone(),
-            );
+            for fom in &record.result.foms {
+                let Some(value) = fom.as_f64() else { continue };
+                let (units, points) = series
+                    .entry((&record.benchmark, &record.system, &fom.name))
+                    .or_default();
+                *units = &fom.units;
+                points.push((record.sequence, value));
+            }
         }
-    }
-    triples
-        .into_iter()
-        .filter_map(|((benchmark, system, fom), units)| {
-            detect_regression(
-                db,
-                &benchmark,
-                &system,
-                &fom,
-                !lower_is_better_units(&units),
-                threshold,
-            )
-        })
-        .collect()
+        series
+            .into_iter()
+            .filter_map(|((benchmark, system, fom), (units, points))| {
+                series_report(
+                    benchmark,
+                    system,
+                    fom,
+                    points,
+                    !lower_is_better_units(units),
+                    threshold,
+                )
+            })
+            .collect()
+    })
 }

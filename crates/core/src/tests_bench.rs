@@ -260,8 +260,8 @@ fn bench_units_directions() {
 // ---------------------------------------------------------------------------
 
 /// A uniformly 2× slower machine flags everything absolutely but nothing
-/// calibrated — the shift cancels against the suite's own geometric mean,
-/// and the speed factor reports it instead.
+/// calibrated — the shift cancels against the suite's own median bench
+/// ratio, and the speed factor reports it instead.
 #[test]
 fn calibration_cancels_uniform_machine_shifts() {
     let old = report(
@@ -322,9 +322,64 @@ fn calibration_still_flags_a_relative_regression() {
     for v in calibrated.iter().filter(|v| v.name != "a.one") {
         assert!(!v.regressed, "{} paid for the basis shift", v.name);
     }
-    // the factor reflects only the outlier's pull on the geometric mean
+    // the median bench ratio ignores the outlier
     let factor = calibration_speed_factor(&[&old, &latest]).unwrap();
-    assert!(factor < 1.0 && factor > 0.8, "got {factor}");
+    assert_eq!(factor, 1.0);
+}
+
+/// One bench landing a large speed-up must not make the steady rest of the
+/// suite look slower. Five noisy sightings of 13 benches, then a latest
+/// report where one bench runs 6× faster and the others within the
+/// baseline noise: only that bench moves, as an improvement.
+#[test]
+fn calibration_is_not_pulled_by_one_bench_speeding_up() {
+    let names: Vec<String> = (0..13).map(|i| format!("g{i}.bench")).collect();
+    let sighting = |created: &str, wobble: f64| {
+        let results = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+                record(
+                    n,
+                    1_000.0 * (i + 1) as f64 * (1.0 + sign * wobble),
+                    "ns/iter",
+                )
+            })
+            .collect();
+        report(created, results)
+    };
+    let baseline: Vec<BenchReport> = [0.02, -0.03, 0.01, 0.03, -0.02]
+        .iter()
+        .enumerate()
+        .map(|(k, &w)| sighting(&format!("2026-08-0{}", k + 1), w))
+        .collect();
+    let mut latest = sighting("2026-08-09", 0.01);
+    latest.results[4].median_ns /= 6.0;
+
+    let mut history: Vec<&BenchReport> = baseline.iter().collect();
+    history.push(&latest);
+    let verdicts = compare_bench_reports_calibrated(&history, 0.10);
+    assert_eq!(verdicts.len(), 13);
+    for v in &verdicts {
+        assert!(
+            !v.regressed,
+            "{} regressed {:+.1}%",
+            v.name,
+            v.change * 100.0
+        );
+        assert_eq!(v.improved, v.name == "g4.bench", "{}", v.name);
+        if v.name != "g4.bench" {
+            assert!(
+                v.change.abs() < 0.05,
+                "{}: {:+.1}%",
+                v.name,
+                v.change * 100.0
+            );
+        }
+    }
+    let factor = calibration_speed_factor(&history).unwrap();
+    assert!((factor - 1.0).abs() < 0.03, "got {factor}");
 }
 
 /// With fewer than two shared benches there is no basis to calibrate

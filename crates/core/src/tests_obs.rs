@@ -3,8 +3,8 @@
 //! failed-experiment gate.
 
 use crate::{
-    append_run, detect_regression, gate_failed_experiments, load_ledger, lower_is_better_units,
-    scan_regressions, MetricsDatabase, RequestTrace, RunRecord,
+    append_run, baseline_verdict, detect_regression, gate_failed_experiments, load_ledger,
+    lower_is_better_units, scan_regressions, MetricsDatabase, RequestTrace, RunRecord,
 };
 use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
 use benchpark_telemetry::TelemetrySink;
@@ -369,6 +369,174 @@ fn scan_uses_units_to_infer_direction_and_skips_pipeline_telemetry() {
     assert!(reports[0].regressed, "{}", reports[0].render());
 }
 
+/// The one-pass scan must agree bit-for-bit with judging each triple on its
+/// own through `detect_regression`, over a history mixing several
+/// benchmarks, systems, FOMs and results per sequence, failures,
+/// non-numeric values, pipeline telemetry, and a FOM whose units (and so
+/// direction) change between sightings.
+#[test]
+fn scan_matches_per_triple_detect_regression() {
+    use std::collections::BTreeMap;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut noise = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        1.0 + ((state >> 33) as f64 / (1u64 << 31) as f64 - 0.5) * 0.02
+    };
+    let fom = |name: &str, value: String, units: &str| FomValue {
+        name: name.to_string(),
+        value,
+        units: units.to_string(),
+        context: Default::default(),
+    };
+    let db = MetricsDatabase::new();
+    for seq in 0..6 {
+        for benchmark in ["amg2023", "lulesh", "stream"] {
+            for system in ["ats2", "cts1"] {
+                let slow = if seq == 5 && benchmark == "amg2023" && system == "cts1" {
+                    1.5
+                } else {
+                    1.0
+                };
+                let results: Vec<ExperimentResult> = (0..3)
+                    .map(|e| ExperimentResult {
+                        experiment: format!("exp_{e}"),
+                        foms: vec![
+                            fom("time", (10.0 * slow * noise()).to_string(), "s"),
+                            fom("bw", (50.0 / slow * noise()).to_string(), "GB/s"),
+                            fom("label", "n/a".to_string(), ""),
+                            fom(
+                                "flip",
+                                (4.0 * slow * noise()).to_string(),
+                                if seq < 4 { "s" } else { "GB/s" },
+                            ),
+                        ],
+                        status: if (seq + e) % 4 == 3 {
+                            ExperimentStatus::Failed
+                        } else {
+                            ExperimentStatus::Success
+                        },
+                        ..result("time", 0.0, "s", ExperimentStatus::Success)
+                    })
+                    .collect();
+                db.record(system, benchmark, "openmp", "m", &results);
+            }
+        }
+        db.record(
+            "cts1",
+            "benchpark-pipeline",
+            "telemetry",
+            "m",
+            &[result(
+                "spans",
+                10.0 * (seq + 1) as f64,
+                "count",
+                ExperimentStatus::Success,
+            )],
+        );
+    }
+
+    let mut triples: BTreeMap<(String, String, String), String> = BTreeMap::new();
+    for r in db.all() {
+        if r.benchmark == "benchpark-pipeline" || r.result.status != ExperimentStatus::Success {
+            continue;
+        }
+        for f in r.result.foms.iter().filter(|f| f.as_f64().is_some()) {
+            let key = (r.benchmark.clone(), r.system.clone(), f.name.clone());
+            triples.insert(key, f.units.clone());
+        }
+    }
+    let reference: Vec<_> = triples
+        .iter()
+        .filter_map(|((benchmark, system, fom), units)| {
+            detect_regression(
+                &db,
+                benchmark,
+                system,
+                fom,
+                !lower_is_better_units(units),
+                0.10,
+            )
+        })
+        .collect();
+    let scanned = scan_regressions(&db, 0.10);
+
+    // independently: each sequence contributes the mean of its values in
+    // record order, the last is judged against the others by its latest units
+    for want in &reference {
+        let units = &triples[&(
+            want.benchmark.clone(),
+            want.system.clone(),
+            want.fom.clone(),
+        )];
+        let mut by_seq: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+        for r in db.all() {
+            if (&r.benchmark, &r.system) != (&want.benchmark, &want.system)
+                || r.result.status != ExperimentStatus::Success
+            {
+                continue;
+            }
+            for f in r.result.foms.iter().filter(|f| f.name == want.fom) {
+                by_seq.entry(r.sequence).or_default().extend(f.as_f64());
+            }
+        }
+        let means: Vec<f64> = by_seq
+            .values()
+            .map(|values| values.iter().sum::<f64>() / values.len() as f64)
+            .collect();
+        let (&latest_mean, baseline) = means.split_last().unwrap();
+        let verdict = baseline_verdict(baseline, latest_mean, !lower_is_better_units(units), 0.10);
+        for (a, b) in [
+            (want.baseline_mean, verdict.baseline_mean),
+            (want.baseline_std, verdict.baseline_std),
+            (want.latest_mean, latest_mean),
+            (want.change, verdict.change),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{}", want.render());
+        }
+        assert_eq!(
+            (want.regressed, want.history_len),
+            (verdict.regressed, baseline.len())
+        );
+    }
+    assert_eq!(reference.len(), 3 * 2 * 3, "every numeric triple is judged");
+    assert_eq!(scanned.len(), reference.len());
+    for (got, want) in scanned.iter().zip(&reference) {
+        let triple =
+            |r: &crate::RegressionReport| (r.benchmark.clone(), r.system.clone(), r.fom.clone());
+        assert_eq!(triple(got), triple(want));
+        for (a, b) in [
+            (got.baseline_mean, want.baseline_mean),
+            (got.baseline_std, want.baseline_std),
+            (got.latest_mean, want.latest_mean),
+            (got.change, want.change),
+        ] {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{} vs {}",
+                got.render(),
+                want.render()
+            );
+        }
+        assert_eq!(
+            (got.regressed, got.history_len),
+            (want.regressed, want.history_len)
+        );
+    }
+    let flagged: Vec<_> = scanned
+        .iter()
+        .filter(|r| r.regressed)
+        .map(|r| (r.benchmark.as_str(), r.system.as_str(), r.fom.as_str()))
+        .collect();
+    // `flip` is judged as GB/s (its latest units): its rise is no regression
+    assert_eq!(
+        flagged,
+        [("amg2023", "cts1", "bw"), ("amg2023", "cts1", "time")]
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Failed-experiment gate
 // ---------------------------------------------------------------------------
@@ -543,6 +711,15 @@ fn ledger_rejects_negative_counter_totals_and_sequences() {
 }
 
 #[test]
+fn ledger_skips_unboundedly_nested_lines() {
+    let path = temp_ledger("deep-nesting");
+    let good = record(100.0).to_json_line();
+    std::fs::write(&path, format!("{good}\n{}\n", "[".repeat(200_000))).unwrap();
+    let load = load_ledger(&path, &TelemetrySink::noop()).unwrap();
+    assert_eq!((load.runs.len(), load.skipped), (1, 1));
+}
+
+#[test]
 fn ledger_append_counts_only_valid_records() {
     // garbage lines must not inflate the next sequence stamp: the stamp
     // counts records load_ledger will actually keep
@@ -663,6 +840,46 @@ fn fingerprint_index_skips_failures_and_splices_and_prefers_latest() {
     assert_eq!(entry.sequence, 4);
     assert_eq!(entry.result.foms[0].value, "250");
     assert!(!entry.result.cached);
+}
+
+/// Moving results out of an owned run indexes exactly what copying them
+/// out of a borrowed one does, including a result two fingerprints name.
+#[test]
+fn fingerprint_index_absorbs_owned_runs_like_borrowed_ones() {
+    use crate::FingerprintIndex;
+    let named = |experiment: &str, status| ExperimentResult {
+        experiment: experiment.to_string(),
+        ..result("triad_bw", 1.0, "MB/s", status)
+    };
+    let mut run = record(0.0);
+    run.results = vec![
+        named("exp_1", ExperimentStatus::Success),
+        named("exp_2", ExperimentStatus::Failed),
+        ExperimentResult {
+            cached: true,
+            ..named("exp_3", ExperimentStatus::Success)
+        },
+        named("exp_4", ExperimentStatus::Success),
+    ];
+    run = run.with_fingerprints(
+        [
+            ("exp_1", "aa"),
+            ("exp_2", "bb"),
+            ("exp_1", "dd"),
+            ("exp_3", "cc"),
+            ("exp_4", ""),
+            ("exp_5", "ee"),
+            ("exp_4", "ff"),
+        ]
+        .map(|(e, f)| (e.to_string(), f.to_string()))
+        .to_vec(),
+    );
+    let mut borrowed = FingerprintIndex::new();
+    borrowed.index_run(&run);
+    let mut owned = FingerprintIndex::new();
+    owned.absorb_run(run);
+    assert_eq!(borrowed.len(), 3, "aa, dd and ff");
+    assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"));
 }
 
 #[test]

@@ -108,7 +108,7 @@ pub struct ServeDaemon {
     sched: DrrScheduler,
     /// Per-tenant fingerprint index over that tenant's ledger shards only:
     /// one tenant's measurements never satisfy another tenant's lookups.
-    indexes: BTreeMap<String, FingerprintIndex>,
+    pub(crate) indexes: BTreeMap<String, FingerprintIndex>,
     /// Spec-key → per-experiment fingerprints of a fully successful run.
     /// Lets a repeat submission skip workspace setup entirely when the
     /// submitting tenant's index already holds every fingerprint.
@@ -127,14 +127,8 @@ impl ServeDaemon {
     /// each tenant's fingerprint index from its own shards.
     pub fn new(config: ServeConfig) -> Result<ServeDaemon, String> {
         let telemetry = TelemetrySink::recording();
-        let sharded = ShardedLedger::load(&config.root.join("ledger"), &telemetry)?;
-        let mut indexes = BTreeMap::new();
-        for tenant in sharded.tenant_names() {
-            indexes.insert(
-                tenant.to_string(),
-                FingerprintIndex::from_ledger(&sharded.tenant_view(tenant)),
-            );
-        }
+        let indexes =
+            ShardedLedger::load(&config.root.join("ledger"), &telemetry)?.into_tenant_indexes();
         let queue = SubmissionQueue::new(config.queue.clone(), telemetry.clone());
         let sched = DrrScheduler::new(&config.queue);
         Ok(ServeDaemon {

@@ -474,3 +474,94 @@ fn atomic_status_write_replaces_not_appends() {
     );
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// A reopened daemon builds each tenant's index by moving results out of
+/// the loaded shards. It must hold exactly the indexes `tenant_view` +
+/// `from_ledger` build, tenant-local sequences included, and answer
+/// resubmissions exactly as a daemon holding those indexes does.
+#[test]
+fn reopened_daemon_indexes_match_tenant_views() {
+    use crate::daemon::{ServeConfig, ServeDaemon};
+    use benchpark_core::{append_run, shard_path, FingerprintIndex, RunRecord, ShardedLedger};
+    use std::collections::BTreeMap;
+
+    let base = std::env::temp_dir().join(format!("benchpark-serve-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let requests: String = ["amy", "bea", "cyd"]
+        .iter()
+        .flat_map(|t| ["cts1", "ats2"].map(|s| format!("{t} saxpy/openmp {s}\n")))
+        .collect();
+    let primed = base.join("primed");
+    let mut daemon = ServeDaemon::new(ServeConfig::new(&primed)).unwrap();
+    daemon.intake_text(&requests, &base);
+    assert_eq!(daemon.drain().unwrap().completed, 6);
+    drop(daemon);
+
+    let ledger = primed.join("ledger");
+    // cyd reruns its cts1 experiment: same fingerprint, a later record wins
+    let shard = shard_path(&ledger, "cyd", "cts1");
+    let text = std::fs::read_to_string(&shard).unwrap();
+    let mut rerun = RunRecord::parse_line(text.lines().next().unwrap()).unwrap();
+    rerun.results[0].foms[0].value = "999".to_string();
+    append_run(&shard, &mut rerun).unwrap();
+    // a corrupt line, a tenant with an empty shard, one with only garbage
+    let mut bea = std::fs::read_to_string(shard_path(&ledger, "bea", "ats2")).unwrap();
+    bea.push_str("{\"schema\":2,\"truncated\n");
+    std::fs::write(shard_path(&ledger, "bea", "ats2"), bea).unwrap();
+    for (tenant, body) in [("dot", ""), ("eve", "not json\n")] {
+        std::fs::create_dir_all(ledger.join(tenant)).unwrap();
+        std::fs::write(shard_path(&ledger, tenant, "cts1"), body).unwrap();
+    }
+
+    let sharded = ShardedLedger::load(&ledger, &TelemetrySink::noop()).unwrap();
+    let reference: BTreeMap<String, FingerprintIndex> = sharded
+        .tenant_names()
+        .into_iter()
+        .map(|t| {
+            (
+                t.to_string(),
+                FingerprintIndex::from_ledger(&sharded.tenant_view(t)),
+            )
+        })
+        .collect();
+    let superseded = reference["cyd"]
+        .iter()
+        .find(|e| e.system == "cts1")
+        .expect("cyd's cts1 experiment is indexed");
+    assert_eq!(superseded.sequence, 3, "tenant-local, not merged, sequence");
+    assert_eq!(superseded.result.foms[0].value, "999");
+
+    // two copies of the primed ledger: one opened as-is, one handed the
+    // reference indexes
+    let mut transcripts = Vec::new();
+    for (side, use_reference) in [("opened", false), ("reference", true)] {
+        let root = base.join(side);
+        for shard in &sharded.shards {
+            let target = shard_path(&root.join("ledger"), &shard.tenant, &shard.system);
+            std::fs::create_dir_all(target.parent().unwrap()).unwrap();
+            std::fs::copy(&shard.path, &target).unwrap();
+        }
+        let mut daemon = ServeDaemon::new(ServeConfig::new(&root)).unwrap();
+        if use_reference {
+            daemon.indexes = reference.clone();
+        } else {
+            assert_eq!(format!("{:?}", daemon.indexes), format!("{reference:?}"));
+        }
+        // the first resubmission splices from the index and fills the memo;
+        // the second takes the memo fastpath
+        for _ in 0..2 {
+            daemon.intake_text(&requests, &base);
+            daemon.drain().unwrap();
+        }
+        let report = daemon.report();
+        assert_eq!((report.completed, report.fastpath), (12, 6));
+        assert_eq!(report.experiments_fresh, 0);
+        let foms = |tenant: &str| {
+            std::fs::read_to_string(root.join("foms").join(format!("{tenant}.txt"))).unwrap()
+        };
+        assert!(foms("cyd").contains("999"));
+        transcripts.push(["amy", "bea", "cyd"].map(foms));
+    }
+    assert_eq!(transcripts[0], transcripts[1]);
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -121,11 +121,13 @@ fn json_string_into(s: &str, out: &mut String) {
 /// [`Value::Float`]. Trailing garbage after the document is an error, as are
 /// trailing commas, unquoted keys, and bare control characters — corrupt
 /// ledger lines must *fail* here so the loader can count and skip them.
+/// So must documents nesting arrays and objects more than 128 levels deep
+/// (`MAX_JSON_DEPTH`), which would otherwise exhaust the stack.
 pub fn parse_json(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let value = parse_value(text, bytes, &mut pos)?;
+    let value = parse_value(text, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -143,11 +145,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Deepest array/object nesting [`parse_json`] accepts. The documents this
+/// workspace writes (ledger records, status snapshots, bench reports,
+/// trace exports) nest fewer than ten levels.
+pub(crate) const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses one value nested inside `depth` arrays or objects.
+fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(text, bytes, pos),
-        Some(b'[') => parse_array(text, bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(text, bytes, pos, depth + 1),
+        Some(b'[') => parse_array(text, bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(text, bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
@@ -309,7 +321,7 @@ fn parse_string_escaped(
     }
 }
 
-fn parse_object(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // consume '{'
     let mut map = Map::new();
     skip_ws(bytes, pos);
@@ -329,7 +341,7 @@ fn parse_object(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Stri
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        let value = parse_value(text, bytes, pos)?;
+        let value = parse_value(text, bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -343,7 +355,7 @@ fn parse_object(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Stri
     }
 }
 
-fn parse_array(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -353,7 +365,7 @@ fn parse_array(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Strin
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(text, bytes, pos)?);
+        items.push(parse_value(text, bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,

@@ -609,6 +609,7 @@ mod proptests {
 }
 
 mod json_tests {
+    use crate::json::MAX_JSON_DEPTH;
     use crate::{emit_json, parse_json, Map, Value};
 
     fn obj(pairs: &[(&str, Value)]) -> Value {
@@ -692,6 +693,24 @@ mod json_tests {
         ] {
             assert!(parse_json(bad).is_err(), "accepted corrupt input: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_fatal() {
+        fn arrays(depth: usize) -> String {
+            format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+        }
+        fn objects(depth: usize) -> String {
+            format!("{}0{}", "{\"k\":".repeat(depth), "}".repeat(depth))
+        }
+        for nested in [arrays, objects] {
+            assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+            let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // deep enough to overflow any thread's stack if each level recursed
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -179,3 +179,24 @@ fn regress_reports_missing_and_empty_ledgers() {
     assert!(stderr.contains("no readable runs"), "{stderr}");
     assert!(stderr.contains("skipped 2"), "{stderr}");
 }
+
+#[test]
+fn deeply_nested_json_is_an_error_not_an_abort() {
+    let base = temp_base("deep-nesting");
+    let deep = "[".repeat(200_000);
+    let status = base.join("status.json");
+    std::fs::write(&status, &deep).unwrap();
+    let (ok, _, stderr) = benchpark(&["status", status.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+
+    // a ledger whose only line is that document: skipped and counted
+    let ledger = base.join("ledger.jsonl");
+    std::fs::write(&ledger, format!("{deep}\n")).unwrap();
+    let (ok, stdout, stderr) = benchpark(&["history", ledger.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(
+        format!("{stdout}{stderr}").contains("1 corrupt or unknown-schema line(s) skipped"),
+        "{stdout}{stderr}"
+    );
+}
