@@ -671,9 +671,12 @@ pub fn synth_ledger_lines(runs: usize) -> Vec<String> {
             let wobble = 1.0 + ((i % 9) as f64 - 4.0) * 0.005;
             let results: Vec<ExperimentResult> = (0..2u64)
                 .map(|j| {
-                    let mut variables = BTreeMap::new();
-                    variables.insert("n_nodes".to_string(), (1 << (j % 4)).to_string());
-                    variables.insert("experiment_run".to_string(), i.to_string());
+                    let variables = [
+                        ("n_nodes", (1 << (j % 4)).to_string()),
+                        ("experiment_run", i.to_string()),
+                    ]
+                    .into_iter()
+                    .collect();
                     ExperimentResult {
                         experiment: format!("{benchmark}_exp{j}"),
                         application: benchmark.to_string(),

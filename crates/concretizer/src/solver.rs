@@ -48,6 +48,8 @@ pub struct Concretizer<'a> {
 pub struct SolveTrace {
     /// Worklist rounds taken to reach the propagation fixpoint.
     pub rounds: usize,
+    /// Worklist visits: package nodes (re-)propagated, over all rounds.
+    pub steps: usize,
     /// One entry per resolved virtual, in resolution order.
     pub providers: Vec<ProviderChoice>,
 }
@@ -212,6 +214,11 @@ impl SolveSession<'_, '_> {
     /// The result of the initial cold solve.
     pub fn base(&self) -> &ConcreteSpec {
         &self.base
+    }
+
+    /// Propagation effort so far: the cold solve plus every edit.
+    pub fn trace(&self) -> &SolveTrace {
+        &self.solve.trace
     }
 
     /// Re-solves with one additional version constraint on `package`,
@@ -948,6 +955,7 @@ impl<'a, 'b> Solve<'a, 'b> {
                 };
                 let Some(key) = next else { break };
                 self.dirty.remove(&key);
+                self.trace.steps += 1;
                 self.step(&key)?;
                 cursor = Some(key);
             }

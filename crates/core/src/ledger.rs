@@ -41,6 +41,7 @@ use crate::metrics::MetricsDatabase;
 use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
 use benchpark_telemetry::{TelemetryReport, TelemetrySink};
 use benchpark_yamlite::{emit_json, parse_json, Map, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -363,7 +364,7 @@ fn result_to_value(result: &ExperimentResult) -> Value {
     );
     let mut variables = Map::new();
     for (k, v) in &result.variables {
-        variables.insert(k, Value::str(v.clone()));
+        variables.insert(k, Value::str(v));
     }
     rec.insert("variables", Value::Map(variables));
     // profiles come from virtual-time execution, so they are deterministic
@@ -432,12 +433,18 @@ fn result_from_value(value: &Value) -> Result<ExperimentResult, String> {
             }
         }
     }
-    let mut variables = BTreeMap::new();
-    if let Some(map) = value.get("variables").and_then(Value::as_map) {
-        for (k, v) in map.iter() {
-            variables.insert(k.clone(), v.scalar_string().unwrap_or_default());
-        }
-    }
+    let variables = value
+        .get("variables")
+        .and_then(Value::as_map)
+        .map(|map| {
+            map.iter()
+                .map(|(k, v)| match v.as_str() {
+                    Some(text) => (k, Cow::Borrowed(text)),
+                    None => (k, Cow::Owned(v.scalar_string().unwrap_or_default())),
+                })
+                .collect()
+        })
+        .unwrap_or_default();
     let mut profile = Vec::new();
     if let Some(items) = value.get("profile").and_then(Value::as_seq) {
         for pair in items {

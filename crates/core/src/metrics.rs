@@ -146,7 +146,7 @@ impl MetricsDatabase {
                     .result
                     .variables
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
                     .collect();
                 metadata.push(("system".to_string(), r.system.clone()));
                 metadata.push(("benchmark".to_string(), r.benchmark.clone()));
@@ -184,7 +184,7 @@ impl MetricsDatabase {
             rec.insert("foms", Value::Map(foms));
             let mut vars = Map::new();
             for (k, v) in &r.result.variables {
-                vars.insert(k, Value::str(v.clone()));
+                vars.insert(k, Value::str(v));
             }
             rec.insert("variables", Value::Map(vars));
             records.push(Value::Map(rec));
@@ -240,14 +240,15 @@ impl MetricsDatabase {
                     });
                 }
             }
-            let mut variables = std::collections::BTreeMap::new();
-            if let Some(vars) = rec.get("variables").and_then(Value::as_map) {
-                for (k, v) in vars.iter() {
-                    if let Some(s) = v.scalar_string() {
-                        variables.insert(k.clone(), s);
-                    }
-                }
-            }
+            let variables = rec
+                .get("variables")
+                .and_then(Value::as_map)
+                .map(|vars| {
+                    vars.iter()
+                        .filter_map(|(k, v)| Some((k, v.scalar_string()?)))
+                        .collect()
+                })
+                .unwrap_or_default();
             let id = store.next_id;
             store.next_id += 1;
             store.records.push(StoredResult {
@@ -320,7 +321,7 @@ impl MetricsDatabase {
             status: ExperimentStatus::Success,
             foms,
             criteria: Vec::new(),
-            variables: std::collections::BTreeMap::new(),
+            variables: Default::default(),
             profile,
             cached: false,
         };

@@ -89,7 +89,9 @@ pub fn bcast_scaling_study(
         .map(|r| {
             benchpark_perf::Profile::from_parts(
                 r.profile.clone(),
-                r.variables.iter().map(|(k, v)| (k.clone(), v.clone())),
+                r.variables
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string())),
             )
         })
         .collect();

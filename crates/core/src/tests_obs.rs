@@ -85,10 +85,37 @@ fn ledger_record_round_trips_through_json() {
     assert_eq!(r.foms[0].name, "fom_a");
     assert_eq!(r.foms[0].value, "42.5");
     assert_eq!(r.criteria, vec![("found_fom".to_string(), true)]);
-    assert_eq!(r.variables["n_threads"], "8");
+    assert_eq!(&r.variables["n_threads"], "8");
     assert_eq!(r.profile, vec![("kernel".to_string(), 1.5)]);
     // deterministic serialization: emitting the parsed record is byte-identical
     assert_eq!(parsed.to_json_line(), original.to_json_line());
+}
+
+/// Result variables keep their bytes through a ledger line: keys in
+/// ascending order, control and non-ASCII characters intact, and a parsed
+/// line re-emits byte-for-byte.
+#[test]
+fn ledger_line_round_trips_unusual_variables_byte_for_byte() {
+    let mut exp = result("fom_a", 1.0, "s", ExperimentStatus::Success);
+    exp.variables = [
+        ("n_threads", "8"),
+        ("line\nbreak", "two\nlines"),
+        ("nul\0key", "nul\0value"),
+        ("größe", "日本語"),
+        ("", ""),
+    ]
+    .into();
+    let line =
+        RunRecord::from_run("cts1", "stream", "openmp", "m", &[exp.clone()], None).to_json_line();
+    assert!(
+        line.contains(
+            r#""variables":{"":"","größe":"日本語","line\nbreak":"two\nlines","n_threads":"8","nul\u0000key":"nul\u0000value"}"#
+        ),
+        "{line}"
+    );
+    let parsed = RunRecord::parse_line(&line).unwrap();
+    assert_eq!(parsed.results[0].variables, exp.variables);
+    assert_eq!(parsed.to_json_line(), line);
 }
 
 #[test]

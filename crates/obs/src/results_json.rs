@@ -53,7 +53,7 @@ pub fn results_to_json(results: &[ExperimentResult], fingerprints: &[(String, St
         entry.insert("criteria", Value::Map(criteria));
         let mut variables = Map::new();
         for (name, value) in &result.variables {
-            variables.insert(name, Value::str(value.clone()));
+            variables.insert(name, Value::str(value));
         }
         entry.insert("variables", Value::Map(variables));
         entries.push(Value::Map(entry));

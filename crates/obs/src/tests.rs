@@ -343,3 +343,37 @@ fn prometheus_per_tenant_histograms_share_one_family_header() {
     let text = prometheus_text(&sink.report().unwrap(), Timebase::Canonical);
     assert!(text.contains("benchpark_telemetry_latency_bucket{le=\"16\"} 1"));
 }
+
+/// The serve daemon's aggregate-only sink must expose exactly what a
+/// recording sink fed the same events exposes: the exposition reads
+/// counters, observations and histograms, never spans or the journal.
+#[test]
+fn aggregating_sink_renders_the_same_prometheus_text_as_recording() {
+    let feed = |sink: &TelemetrySink| {
+        for i in 0..40u64 {
+            let tenant = ["alice", "bob", "carol"][i as usize % 3];
+            let span = sink.span("serve.request");
+            span.set_attr("tenant", tenant);
+            span.set_virtual(i as f64);
+            sink.incr("serve.completed", 1);
+            sink.incr(&format!("serve.tenant.{tenant}.completed"), 1);
+            sink.incr("serve.experiments.cached", i % 4);
+            sink.observe("serve.queue.depth", (40 - i) as f64);
+            sink.observe_volatile("serve.wall_ms", i as f64 * 0.25);
+            sink.record_hist("serve.stage.execute", i * i);
+            sink.record_hist(&format!("serve.tenant.{tenant}.queue_wait"), i);
+        }
+    };
+    let recording = TelemetrySink::recording();
+    let aggregating = TelemetrySink::aggregating();
+    feed(&recording);
+    feed(&aggregating);
+    let (full, totals) = (recording.report().unwrap(), aggregating.report().unwrap());
+    assert_eq!(full.spans.len(), 40);
+    assert!(totals.spans.is_empty() && totals.journal.is_empty());
+    for timebase in [Timebase::Canonical, Timebase::Wall] {
+        let text = prometheus_text(&totals, timebase);
+        assert!(text.contains("benchpark_serve_completed_total{tenant=\"bob\"} 13"));
+        assert_eq!(text, prometheus_text(&full, timebase));
+    }
+}

@@ -3,6 +3,7 @@
 
 use crate::error::RambleError;
 use crate::expgen::ExperimentInstance;
+use crate::vars::VarMap;
 use crate::workspace::RunOutput;
 use benchpark_pkg::{ApplicationDef, SuccessMode};
 use benchpark_rex::Regex;
@@ -50,7 +51,7 @@ pub struct ExperimentResult {
     pub criteria: Vec<(String, bool)>,
     /// The experiment's variables (stored with results for reproducibility,
     /// per §5's manifest-with-results goal).
-    pub variables: BTreeMap<String, String>,
+    pub variables: VarMap,
     /// Caliper-style profile captured by the runner, if any.
     pub profile: Vec<(String, f64)>,
     /// Provenance: `true` when this result was *not* measured by the run
@@ -186,7 +187,7 @@ pub fn analyze_experiment_with(
         status,
         foms,
         criteria,
-        variables: exp.variables.clone(),
+        variables: exp.variables.iter().collect(),
         profile: output.profile.clone(),
         cached: false,
     })

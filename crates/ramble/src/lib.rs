@@ -33,6 +33,7 @@ mod expgen;
 mod modifiers;
 mod rconfig;
 mod template;
+mod vars;
 mod workspace;
 
 pub use analyze::{
@@ -47,6 +48,7 @@ pub use rconfig::{
     EnvironmentDef, ExperimentDef, RambleConfig, SpackPackageDef, VarValue, WorkloadConfig,
 };
 pub use template::render_template;
+pub use vars::VarMap;
 
 /// The default batch template (Figure 13), re-exported for writers of
 /// workspace skeletons.

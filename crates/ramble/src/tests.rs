@@ -498,7 +498,7 @@ fn golden_fig5_workspace_workflow() {
     assert_eq!(time_fom.value, "0.001234");
     assert_eq!(time_fom.units, "s");
     // variables stored with results (§5 reproducibility goal)
-    assert_eq!(result.variables["n"], "512");
+    assert_eq!(&result.variables["n"], "512");
     assert!(result.criteria.iter().any(|(n, ok)| n == "pass" && *ok));
 }
 
@@ -811,4 +811,79 @@ mod proptests {
             prop_assert_eq!(expand(&text, &v).unwrap(), text);
         }
     }
+}
+
+#[test]
+fn var_map_is_a_key_ordered_map() {
+    use crate::VarMap;
+    let pairs = [
+        ("n_ranks", "8"),
+        ("application_name", "saxpy"),
+        ("n", "512"),
+        ("", "empty key"),
+        ("n_threads", ""),
+    ];
+    let map: VarMap = pairs.into_iter().collect();
+    let reference: BTreeMap<&str, &str> = pairs.into_iter().collect();
+    assert_eq!(map.iter().count(), 5);
+    assert!(map.iter().eq(reference.iter().map(|(k, v)| (*k, *v))));
+    assert!((&map).into_iter().eq(map.iter()));
+    for (key, value) in pairs {
+        assert_eq!(map.get(key), Some(value));
+        assert_eq!(&map[key], value);
+    }
+    for absent in ["m", "n_", "zzz", "N"] {
+        assert_eq!(map.get(absent), None);
+    }
+    assert_eq!(format!("{map:?}"), format!("{reference:?}"));
+    let owned: VarMap = [("n".to_string(), "512".to_string())].into();
+    assert_eq!(owned.get("n"), Some("512"));
+}
+
+#[test]
+fn var_map_duplicate_keys_keep_the_last_value() {
+    use crate::VarMap;
+    let pairs = [
+        ("b", "1"),
+        ("a", "2"),
+        ("b", "3"),
+        ("a", "4"),
+        ("c", "5"),
+        ("b", "6"),
+    ];
+    let map: VarMap = pairs.into_iter().collect();
+    let reference: BTreeMap<&str, &str> = pairs.into_iter().collect();
+    assert!(map.iter().eq(reference.iter().map(|(k, v)| (*k, *v))));
+    assert_eq!(map.get("b"), Some("6"));
+    assert_eq!(map.iter().count(), 3);
+}
+
+#[test]
+fn var_map_empty_and_unusual_text() {
+    use crate::VarMap;
+    let empty = VarMap::default();
+    assert_eq!(empty.iter().next(), None);
+    assert_eq!(empty.get(""), None);
+    assert_eq!(empty, std::iter::empty::<(&str, &str)>().collect());
+    assert_eq!(format!("{empty:?}"), "{}");
+    let odd = [
+        ("nul\0key", "nul\0value"),
+        ("line\nbreak", "two\nlines\n"),
+        ("größe", "日本語 ✓"),
+        ("emoji😀", ""),
+    ];
+    let map: VarMap = odd.into_iter().collect();
+    for (key, value) in odd {
+        assert_eq!(map.get(key), Some(value));
+    }
+    let mut sorted = odd.to_vec();
+    sorted.sort();
+    assert!(map.iter().eq(sorted));
+}
+
+#[test]
+#[should_panic(expected = "no variable named \"missing\"")]
+fn var_map_index_panics_on_a_missing_key() {
+    let map: crate::VarMap = [("n", "1")].into();
+    let _ = &map["missing"];
 }

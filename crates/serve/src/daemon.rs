@@ -17,7 +17,8 @@ use benchpark_engine::{Engine, FailurePolicy, TaskGraph, TaskStatus};
 use benchpark_obs::{prometheus_text, Timebase};
 use benchpark_ramble::{ExperimentResult, ExperimentStatus};
 use benchpark_telemetry::{TelemetryReport, TelemetrySink};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Daemon configuration: the service root directory, queue quotas, and the
@@ -113,7 +114,12 @@ pub struct ServeDaemon {
     /// Lets a repeat submission skip workspace setup entirely when the
     /// submitting tenant's index already holds every fingerprint.
     memo: BTreeMap<String, Vec<(String, String)>>,
+    /// Per-tenant FOM transcript text committed since the last flush.
     foms: BTreeMap<String, String>,
+    /// Tenants whose transcript file this daemon has already written: a
+    /// tenant's first flush truncates `foms/<tenant>.txt`, later ones
+    /// append to it.
+    flushed: BTreeSet<String>,
     report: ServeReport,
     /// Rolling tick windows feeding the SLO evaluator and status snapshot.
     windows: RollingWindows,
@@ -126,7 +132,9 @@ impl ServeDaemon {
     /// Opens the service root: discovers existing ledger shards and builds
     /// each tenant's fingerprint index from its own shards.
     pub fn new(config: ServeConfig) -> Result<ServeDaemon, String> {
-        let telemetry = TelemetrySink::recording();
+        // aggregates only: the daemon lives for many drains, and its
+        // exposition (`metrics.prom`) reads no spans or journal
+        let telemetry = TelemetrySink::aggregating();
         let indexes =
             ShardedLedger::load(&config.root.join("ledger"), &telemetry)?.into_tenant_indexes();
         let queue = SubmissionQueue::new(config.queue.clone(), telemetry.clone());
@@ -139,6 +147,7 @@ impl ServeDaemon {
             indexes,
             memo: BTreeMap::new(),
             foms: BTreeMap::new(),
+            flushed: BTreeSet::new(),
             report: ServeReport::default(),
             windows: RollingWindows::default(),
             hists: StageHists::default(),
@@ -244,8 +253,9 @@ impl ServeDaemon {
 
     /// Drains the queue to empty: repeated DRR rounds, each fanned out over
     /// the engine pool, each committed (shards, indexes, transcripts) in
-    /// pick order. Then flushes the per-tenant FOM transcripts and the
-    /// Prometheus snapshot under the root.
+    /// pick order. Then flushes the per-tenant FOM transcripts (appending
+    /// what this drain committed) and the Prometheus snapshot under the
+    /// root.
     pub fn drain(&mut self) -> Result<&ServeReport, String> {
         let start = std::time::Instant::now();
         while !self.queue.is_empty() {
@@ -400,9 +410,9 @@ impl ServeDaemon {
 
     /// Stamps one committed request's stage latencies everywhere they are
     /// observable: the daemon's own histograms (status snapshot), the
-    /// telemetry sink's histogram families (Prometheus exposition), a
-    /// `serve.request` span on the daemon's span tree, and the rolling
-    /// windows (SLO horizons). Returns the trace for the ledger record.
+    /// telemetry sink's histogram families (Prometheus exposition), and the
+    /// rolling windows (SLO horizons). Returns the trace for the ledger
+    /// record.
     fn stamp_stages(
         &mut self,
         picked: &QueuedRequest,
@@ -434,16 +444,6 @@ impl ServeDaemon {
             self.telemetry
                 .record_hist(&format!("serve.tenant.{}.execute", ctx.tenant), execute);
         }
-        let span = self.telemetry.span("serve.request");
-        span.set_attr("tenant", &ctx.tenant);
-        span.set_attr("request_id", ctx.request_id);
-        span.set_attr("submit_tick", ctx.submit_tick);
-        span.set_attr("queue_wait_ticks", queue_wait);
-        span.set_attr("schedule_ticks", schedule);
-        span.set_attr("execute_ticks", execute);
-        span.set_attr("commit_ticks", commit);
-        span.set_virtual((queue_wait + schedule + execute + commit) as f64);
-        drop(span);
         self.windows.record_complete(
             pick_tick,
             CompletionEvent {
@@ -606,9 +606,22 @@ impl ServeDaemon {
     fn flush(&mut self) -> Result<(), String> {
         let foms_dir = self.config.root.join("foms");
         std::fs::create_dir_all(&foms_dir).map_err(|e| format!("cannot create foms dir: {e}"))?;
-        for (tenant, transcript) in &self.foms {
-            std::fs::write(foms_dir.join(format!("{tenant}.txt")), transcript)
-                .map_err(|e| format!("cannot write FOM transcript: {e}"))?;
+        while let Some((tenant, text)) = self.foms.pop_first() {
+            let path = foms_dir.join(format!("{tenant}.txt"));
+            let written = if self.flushed.contains(&tenant) {
+                std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .and_then(|mut file| file.write_all(text.as_bytes()))
+            } else {
+                std::fs::write(&path, &text)
+            };
+            if let Err(e) = written {
+                // keep the text for the next flush to retry
+                self.foms.insert(tenant, text);
+                return Err(format!("cannot write FOM transcript: {e}"));
+            }
+            self.flushed.insert(tenant);
         }
         if let Some(report) = self.telemetry.report() {
             let prom = prometheus_text(&report, Timebase::Canonical);

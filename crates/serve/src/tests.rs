@@ -565,3 +565,119 @@ fn reopened_daemon_indexes_match_tenant_views() {
     assert_eq!(transcripts[0], transcripts[1]);
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// Transcripts are appended per drain, yet every file must read exactly as
+/// a whole rewrite from memory would leave it: one section per request the
+/// tenant committed in this daemon's lifetime, in FIFO order, each section
+/// byte-equal to the serial one-shot driver's. A reopened daemon's first
+/// flush for a tenant truncates; a tenant it never serves keeps its file.
+/// The daemon's own telemetry holds aggregates only, however long it runs.
+#[test]
+fn appended_transcripts_match_whole_rewrite_across_reopen() {
+    use crate::daemon::{ServeConfig, ServeDaemon};
+    use crate::report::fom_transcript;
+    use benchpark_core::{Benchpark, RunSpec};
+    use std::collections::BTreeMap;
+
+    let base = std::env::temp_dir().join(format!("benchpark-serve-append-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let root = base.join("root");
+    let mut serial: BTreeMap<&str, String> = BTreeMap::new();
+    for system in ["cts1", "ats2"] {
+        let spec = RunSpec::new(
+            "saxpy",
+            "openmp",
+            system,
+            base.join(format!("serial-{system}")),
+        );
+        let collected = Benchpark::new().run_request(&spec, None, false).unwrap();
+        serial.insert(system, fom_transcript(&collected.results));
+    }
+
+    // per lifetime, the drains' `(tenant, system)` requests and the memo
+    // fastpath count: amy repeats a spec, and is not served after the reopen
+    type Drain<'a> = &'a [(&'a str, &'a str)];
+    let lifetimes: [(&[Drain], u64); 2] = [
+        (
+            &[
+                &[("amy", "cts1"), ("bea", "cts1")],
+                &[("amy", "ats2"), ("cyd", "cts1")],
+                &[("amy", "cts1"), ("bea", "ats2")],
+            ],
+            1,
+        ),
+        (&[&[("bea", "cts1"), ("cyd", "ats2")]], 0),
+    ];
+    let mut expected: BTreeMap<&str, String> = BTreeMap::new();
+    for (drains, fastpath) in lifetimes {
+        let mut daemon = ServeDaemon::new(ServeConfig::new(&root)).unwrap();
+        let mut seqs: BTreeMap<&str, u64> = BTreeMap::new();
+        for drain in drains {
+            for &(tenant, system) in drain.iter() {
+                daemon
+                    .submit(ExperimentRequest::new(tenant, "saxpy", "openmp", system))
+                    .unwrap();
+                let seq = seqs.entry(tenant).or_insert(0);
+                *seq += 1;
+                let text = expected.entry(tenant).or_default();
+                if *seq == 1 {
+                    text.clear(); // this lifetime's first flush truncates
+                }
+                text.push_str(&format!(
+                    "=== {tenant}#{seq} saxpy/openmp @ {system}\n{}\n",
+                    serial[system]
+                ));
+            }
+            let report = daemon.drain().unwrap();
+            assert_eq!(report.failed, 0);
+            for (tenant, text) in &expected {
+                let file = root.join("foms").join(format!("{tenant}.txt"));
+                assert_eq!(&std::fs::read_to_string(file).unwrap(), text, "{tenant}");
+            }
+        }
+        assert_eq!(daemon.report().fastpath, fastpath);
+        let telemetry = daemon.telemetry().report().unwrap();
+        assert!(telemetry.spans.is_empty(), "daemon keeps no spans");
+        assert!(telemetry.journal.is_empty(), "daemon keeps no journal");
+        let requests: usize = drains.iter().map(|d| d.len()).sum();
+        assert_eq!(telemetry.counter("serve.completed"), requests as u64);
+        assert_eq!(
+            telemetry.histogram("serve.stage.execute").unwrap().count,
+            requests as u64
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A template nested past the parser's depth bound, flow or block, fails
+/// its own request with a parse error; the daemon keeps serving, and the
+/// ordinary request in the same replay still commits.
+#[test]
+fn deeply_nested_templates_fail_their_request_not_the_daemon() {
+    use crate::daemon::{ServeConfig, ServeDaemon};
+
+    let base = std::env::temp_dir().join(format!("benchpark-serve-deep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let flow = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let block: String = (0..2_000)
+        .map(|i| format!("{}k{i}:\n", " ".repeat(i)))
+        .collect();
+    std::fs::write(base.join("flow.yaml"), flow).unwrap();
+    std::fs::write(base.join("block.yaml"), block).unwrap();
+    let replay = "amy saxpy/openmp cts1 template=flow.yaml\n\
+                  bea saxpy/openmp cts1 template=block.yaml\n\
+                  cyd saxpy/openmp cts1\n";
+    let mut daemon = ServeDaemon::new(ServeConfig::new(base.join("root"))).unwrap();
+    daemon.intake_text(replay, &base);
+    let report = daemon.drain().unwrap();
+    assert_eq!((report.completed, report.failed), (1, 2));
+    assert_eq!(report.tenants["cyd"].completed, 1);
+    for (request, error) in &report.failures {
+        assert!(
+            error.contains("nesting deeper than 128"),
+            "{request}: {error}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -26,7 +26,10 @@
 //! million-sample latency distribution does not swamp the journal.) The
 //! whole subsystem is reached
 //! through a [`TelemetrySink`] handle: a disabled sink (the default
-//! everywhere) is a `None` and costs one branch per call site.
+//! everywhere) is a `None` and costs one branch per call site. A
+//! long-lived recorder ([`TelemetrySink::aggregating`], the serve daemon's)
+//! keeps the totals only: no spans and no journal, so its memory and its
+//! [`TelemetrySink::report`] cost stay flat however many events it sees.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -44,10 +47,10 @@ pub struct TelemetrySink(Option<Arc<Recorder>>);
 impl std::fmt::Debug for TelemetrySink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("TelemetrySink")
-            .field(&if self.0.is_some() {
-                "recording"
-            } else {
-                "noop"
+            .field(&match &self.0 {
+                Some(recorder) if recorder.journal => "recording",
+                Some(_) => "aggregating",
+                None => "noop",
             })
             .finish()
     }
@@ -61,7 +64,17 @@ impl TelemetrySink {
 
     /// A live sink backed by a fresh recorder.
     pub fn recording() -> TelemetrySink {
-        TelemetrySink(Some(Arc::new(Recorder::new())))
+        TelemetrySink(Some(Arc::new(Recorder::new(true))))
+    }
+
+    /// A live sink for a long-lived recorder: counters, observations and
+    /// histograms update their totals exactly as on a [`recording`] sink,
+    /// but spans are no-ops and nothing is journaled, so the report carries
+    /// aggregates only and costs the same at any age.
+    ///
+    /// [`recording`]: TelemetrySink::recording
+    pub fn aggregating() -> TelemetrySink {
+        TelemetrySink(Some(Arc::new(Recorder::new(false))))
     }
 
     /// Whether events are being recorded.
@@ -73,7 +86,7 @@ impl TelemetrySink {
     /// returned guard drops. Nested `span` calls on clones of the same sink
     /// form the hierarchy.
     pub fn span(&self, name: &str) -> SpanGuard {
-        let Some(recorder) = &self.0 else {
+        let Some(recorder) = self.0.as_ref().filter(|r| r.journal) else {
             return SpanGuard {
                 recorder: None,
                 index: 0,
@@ -123,6 +136,7 @@ impl TelemetrySink {
     }
 
     /// A snapshot of everything recorded so far (`None` for a no-op sink).
+    /// An aggregating sink's report has no spans and an empty journal.
     pub fn report(&self) -> Option<TelemetryReport> {
         self.0.as_ref().map(|r| r.snapshot())
     }
@@ -422,16 +436,20 @@ impl RecorderState {
     }
 }
 
-/// The shared mutable core behind a recording [`TelemetrySink`].
+/// The shared mutable core behind a live [`TelemetrySink`].
 pub struct Recorder {
     epoch: Instant,
+    /// Records spans and the event journal; `false` keeps aggregates only
+    /// ([`TelemetrySink::aggregating`]).
+    journal: bool,
     state: Mutex<RecorderState>,
 }
 
 impl Recorder {
-    fn new() -> Recorder {
+    fn new(journal: bool) -> Recorder {
         Recorder {
             epoch: Instant::now(),
+            journal,
             state: Mutex::new(RecorderState::default()),
         }
     }
@@ -508,23 +526,31 @@ impl Recorder {
         }
     }
 
+    /// The journal timestamp for an event, read before taking the lock;
+    /// `None` when this recorder keeps no journal.
+    fn journal_at(&self) -> Option<f64> {
+        self.journal.then(|| self.now())
+    }
+
     fn incr(&self, name: &str, delta: u64) {
-        let at = self.now();
+        let at = self.journal_at();
         let mut state = self.state.lock().unwrap();
         let name = state.intern(name);
         let total = state.counters.entry(Arc::clone(&name)).or_insert(0);
         *total += delta;
         let total = *total;
-        state.journal.push(Event::Counter {
-            at,
-            name,
-            delta,
-            total,
-        });
+        if let Some(at) = at {
+            state.journal.push(Event::Counter {
+                at,
+                name,
+                delta,
+                total,
+            });
+        }
     }
 
     fn observe(&self, name: &str, value: f64, volatile: bool) {
-        let at = self.now();
+        let at = self.journal_at();
         let mut state = self.state.lock().unwrap();
         let name = state.intern(name);
         if volatile {
@@ -547,7 +573,9 @@ impl Recorder {
                 max: value,
                 last: value,
             });
-        state.journal.push(Event::Observe { at, name, value });
+        if let Some(at) = at {
+            state.journal.push(Event::Observe { at, name, value });
+        }
     }
 
     fn record_hist(&self, name: &str, value: u64) {
@@ -765,6 +793,31 @@ mod tests {
             sink.observe("y", 2.0);
         }
         assert!(sink.report().is_none());
+    }
+
+    #[test]
+    fn aggregating_sink_keeps_totals_without_spans_or_journal() {
+        let sink = TelemetrySink::aggregating();
+        assert!(sink.is_enabled());
+        assert_eq!(format!("{sink:?}"), "TelemetrySink(\"aggregating\")");
+        {
+            let span = sink.span("serve.request");
+            span.set_attr("tenant", "alice");
+            span.set_virtual(3.0);
+            let _inner = sink.span("inner");
+            sink.incr("serve.completed", 2);
+            sink.incr("serve.completed", 1);
+            sink.observe("serve.queue.depth", 4.0);
+            sink.observe_volatile("serve.wall", 0.5);
+            sink.record_hist("serve.stage.execute", 9);
+        }
+        let report = sink.report().unwrap();
+        assert!(report.spans.is_empty());
+        assert!(report.journal.is_empty());
+        assert_eq!(report.counter("serve.completed"), 3);
+        assert_eq!(report.observation("serve.queue.depth").unwrap().last, 4.0);
+        assert!(report.is_volatile_observation("serve.wall"));
+        assert_eq!(report.histogram("serve.stage.execute").unwrap().sum, 9);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! identity checks rely on.
 
 use crate::value::{Map, Value};
+use crate::MAX_DEPTH;
 use std::fmt::Write as _;
 
 /// Emits `value` as a single-line (compact) JSON document.
@@ -122,7 +123,7 @@ fn json_string_into(s: &str, out: &mut String) {
 /// trailing commas, unquoted keys, and bare control characters — corrupt
 /// ledger lines must *fail* here so the loader can count and skip them.
 /// So must documents nesting arrays and objects more than 128 levels deep
-/// (`MAX_JSON_DEPTH`), which would otherwise exhaust the stack.
+/// (`MAX_DEPTH`), which would otherwise exhaust the stack.
 pub fn parse_json(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
@@ -145,17 +146,12 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-/// Deepest array/object nesting [`parse_json`] accepts. The documents this
-/// workspace writes (ledger records, status snapshots, bench reports,
-/// trace exports) nest fewer than ten levels.
-pub(crate) const MAX_JSON_DEPTH: usize = 128;
-
 /// Parses one value nested inside `depth` arrays or objects.
 fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => Err(format!(
-            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}",
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
             pos = *pos
         )),
         Some(b'{') => parse_object(text, bytes, pos, depth + 1),

@@ -43,5 +43,11 @@ pub use parser::{parse, parse_spanned};
 pub use span::{Span, SpannedEntry, SpannedMap, SpannedNode, SpannedValue};
 pub use value::{Map, Value};
 
+/// Deepest collection nesting [`parse`] and [`parse_json`] accept; deeper
+/// input is an error, not a stack overflow. The documents this workspace
+/// reads and writes (configs, ledger records, status snapshots, bench
+/// reports, trace exports) nest fewer than ten levels.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 #[cfg(test)]
 mod tests;

@@ -7,6 +7,7 @@
 use crate::error::{ParseError, Result};
 use crate::span::{Span, SpannedMap, SpannedNode, SpannedValue};
 use crate::value::Value;
+use crate::MAX_DEPTH;
 
 /// Parses a YAML document into a [`Value`].
 ///
@@ -19,7 +20,8 @@ pub fn parse(input: &str) -> Result<Value> {
 /// Parses a YAML document into a [`SpannedValue`] carrying source positions.
 ///
 /// An empty document (or one containing only comments) parses to a null node
-/// with a default span.
+/// with a default span. Collections nested more than 128 levels deep, block
+/// or flow, are an error.
 pub fn parse_spanned(input: &str) -> Result<SpannedValue> {
     let lines = preprocess(input)?;
     if lines.is_empty() {
@@ -31,10 +33,10 @@ pub fn parse_spanned(input: &str) -> Result<SpannedValue> {
         && !is_seq_item(lines[0].text)
         && split_key(lines[0].text, lines[0].no, lines[0].indent + 1).is_err()
     {
-        return parse_scalar_or_flow(lines[0].text, lines[0].no, lines[0].indent + 1);
+        return parse_scalar_or_flow(lines[0].text, lines[0].no, lines[0].indent + 1, 0);
     }
     let mut pos = 0;
-    let value = parse_block(&lines, &mut pos, lines[0].indent)?;
+    let value = parse_block(&lines, &mut pos, lines[0].indent, 0)?;
     if pos < lines.len() {
         return Err(ParseError::new(
             lines[pos].no,
@@ -119,8 +121,19 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
+/// The error for a collection opening inside `MAX_DEPTH` others.
+fn too_deep(no: usize) -> ParseError {
+    ParseError::new(no, format!("nesting deeper than {MAX_DEPTH} levels"))
+}
+
 /// Parses the block starting at `pos`, whose lines are indented `indent`.
-fn parse_block(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<SpannedValue> {
+/// `depth` counts the collections enclosing it.
+fn parse_block(
+    lines: &[Line<'_>],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<SpannedValue> {
     let line = &lines[*pos];
     if line.indent != indent {
         return Err(ParseError::new(
@@ -128,10 +141,13 @@ fn parse_block(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<Spa
             format!("expected indentation {indent}, found {}", line.indent),
         ));
     }
+    if depth >= MAX_DEPTH {
+        return Err(too_deep(line.no));
+    }
     if is_seq_item(line.text) {
-        parse_sequence(lines, pos, indent)
+        parse_sequence(lines, pos, indent, depth)
     } else {
-        parse_mapping(lines, pos, indent, None)
+        parse_mapping(lines, pos, indent, None, depth)
     }
 }
 
@@ -156,13 +172,22 @@ fn parse_mapping(
     pos: &mut usize,
     indent: usize,
     first: Option<FirstEntry<'_>>,
+    depth: usize,
 ) -> Result<SpannedValue> {
     let mut map = SpannedMap::new();
     let mut map_span = Span::new(lines.get(*pos).map(|l| l.no).unwrap_or(0), indent + 1);
 
     if let Some(entry) = first {
         map_span = entry.key_span;
-        let value = mapping_value(lines, pos, indent, entry.inline, entry.no, entry.key_span)?;
+        let value = mapping_value(
+            lines,
+            pos,
+            indent,
+            entry.inline,
+            entry.no,
+            entry.key_span,
+            depth + 1,
+        )?;
         map.insert(entry.key, entry.key_span, value);
     }
 
@@ -174,7 +199,7 @@ fn parse_mapping(
         let no = line.no;
         let (key, key_span, inline) = split_key(line.text, no, line.indent + 1)?;
         *pos += 1;
-        let value = mapping_value(lines, pos, indent, inline, no, key_span)?;
+        let value = mapping_value(lines, pos, indent, inline, no, key_span, depth + 1)?;
         if map.contains_key(&key) {
             return Err(ParseError::new(
                 no,
@@ -192,7 +217,8 @@ fn parse_mapping(
     })
 }
 
-/// Parses the value of a mapping entry whose key line has been consumed.
+/// Parses the value of a mapping entry whose key line has been consumed;
+/// `depth` counts the collections enclosing the value.
 fn mapping_value(
     lines: &[Line<'_>],
     pos: &mut usize,
@@ -200,19 +226,20 @@ fn mapping_value(
     inline: Option<Inline<'_>>,
     no: usize,
     key_span: Span,
+    depth: usize,
 ) -> Result<SpannedValue> {
     if let Some(inline) = inline {
-        return parse_scalar_or_flow(inline.text, no, inline.col);
+        return parse_scalar_or_flow(inline.text, no, inline.col, depth);
     }
     // No inline value: the value is a nested block (deeper indent), a sequence
     // at the same indent as the key (YAML permits this), or null.
     if *pos < lines.len() {
         let next = &lines[*pos];
         if next.indent > key_indent {
-            return parse_block(lines, pos, next.indent);
+            return parse_block(lines, pos, next.indent, depth);
         }
         if next.indent == key_indent && is_seq_item(next.text) {
-            return parse_sequence(lines, pos, key_indent);
+            return parse_block(lines, pos, key_indent, depth);
         }
     }
     Ok(SpannedValue {
@@ -221,8 +248,13 @@ fn mapping_value(
     })
 }
 
-/// Parses a block sequence at `indent`.
-fn parse_sequence(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<SpannedValue> {
+/// Parses a block sequence at `indent`, inside `depth` collections.
+fn parse_sequence(
+    lines: &[Line<'_>],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<SpannedValue> {
     let mut items = Vec::new();
     let seq_span = Span::new(lines[*pos].no, indent + 1);
     while *pos < lines.len() {
@@ -246,7 +278,7 @@ fn parse_sequence(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<
         if content.is_empty() {
             // `-` alone: nested block on following deeper-indented lines.
             if *pos < lines.len() && lines[*pos].indent > indent {
-                items.push(parse_block(lines, pos, lines[*pos].indent)?);
+                items.push(parse_block(lines, pos, lines[*pos].indent, depth + 1)?);
             } else {
                 items.push(SpannedValue {
                     span: Span::new(no, indent + 1),
@@ -255,9 +287,12 @@ fn parse_sequence(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<
             }
         } else if content.starts_with(['[', '{']) {
             // flow collections are values, never `key: value` entries
-            items.push(parse_scalar_or_flow(content, no, item_col)?);
+            items.push(parse_scalar_or_flow(content, no, item_col, depth + 1)?);
         } else if let Ok((key, key_span, inline)) = split_key(content, no, item_col) {
             // `- key: …` starts a mapping whose entries align at item_indent.
+            if depth + 1 >= MAX_DEPTH {
+                return Err(too_deep(no));
+            }
             items.push(parse_mapping(
                 lines,
                 pos,
@@ -268,9 +303,10 @@ fn parse_sequence(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<
                     inline,
                     no,
                 }),
+                depth + 1,
             )?);
         } else {
-            items.push(parse_scalar_or_flow(content, no, item_col)?);
+            items.push(parse_scalar_or_flow(content, no, item_col, depth + 1)?);
         }
     }
     Ok(SpannedValue {
@@ -335,12 +371,16 @@ fn split_key<'a>(
 }
 
 /// Parses an inline value: flow sequence, flow mapping, quoted or plain scalar.
-/// `col` is the 1-based column of `text`'s first byte in the source line.
-fn parse_scalar_or_flow(text: &str, no: usize, col: usize) -> Result<SpannedValue> {
+/// `col` is the 1-based column of `text`'s first byte in the source line;
+/// `depth` counts the collections enclosing the value.
+fn parse_scalar_or_flow(text: &str, no: usize, col: usize, depth: usize) -> Result<SpannedValue> {
     let lead = text.len() - text.trim_start().len();
     let col = col + lead;
     let text = text.trim();
     let span = Span::new(no, col);
+    if text.starts_with(['[', '{']) && depth >= MAX_DEPTH {
+        return Err(too_deep(no));
+    }
     if text.starts_with('[') {
         let inner = flow_body(text, '[', ']', no)?;
         let mut items = Vec::new();
@@ -349,7 +389,7 @@ fn parse_scalar_or_flow(text: &str, no: usize, col: usize) -> Result<SpannedValu
                 continue;
             }
             // inner starts one byte after the `[`
-            items.push(parse_scalar_or_flow(part, no, col + 1 + offset)?);
+            items.push(parse_scalar_or_flow(part, no, col + 1 + offset, depth + 1)?);
         }
         return Ok(SpannedValue {
             span,
@@ -375,7 +415,7 @@ fn parse_scalar_or_flow(text: &str, no: usize, col: usize) -> Result<SpannedValu
                 ));
             }
             let value = match inline {
-                Some(inline) => parse_scalar_or_flow(inline.text, no, inline.col)?,
+                Some(inline) => parse_scalar_or_flow(inline.text, no, inline.col, depth + 1)?,
                 None => SpannedValue {
                     span: key_span,
                     node: SpannedNode::Null,

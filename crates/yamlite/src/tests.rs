@@ -75,6 +75,50 @@ fn nested_flow() {
     assert_eq!(outer[1].as_seq().unwrap()[0].as_str(), Some("x"));
 }
 
+/// Nesting beyond `MAX_DEPTH` is a `ParseError` in every form, never a
+/// stack overflow: flow collections, block mappings, block sequences and
+/// `- key:` mappings inside sequences.
+#[test]
+fn nesting_is_bounded_not_fatal() {
+    use crate::MAX_DEPTH;
+    fn flow(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+    fn flow_maps(depth: usize) -> String {
+        format!("{}0{}", "{k: ".repeat(depth), "}".repeat(depth))
+    }
+    fn block_keys(depth: usize) -> String {
+        (0..depth)
+            .map(|i| format!("{}k{i}:\n", " ".repeat(i)))
+            .collect()
+    }
+    fn block_items(depth: usize) -> String {
+        (0..depth)
+            .map(|i| format!("{}-\n", " ".repeat(2 * i)))
+            .collect()
+    }
+    // each `- k:` line opens a sequence and a mapping
+    fn item_maps(depth: usize) -> String {
+        let mut text: String = (0..depth / 2)
+            .map(|i| format!("{}- k:\n", " ".repeat(2 * i)))
+            .collect();
+        if depth % 2 == 1 {
+            text.push_str(&format!("{}- x\n", " ".repeat(depth - 1)));
+        }
+        text
+    }
+    for nested in [flow, flow_maps, block_keys, block_items, item_maps] {
+        let shallow = nested(MAX_DEPTH);
+        assert!(parse(&shallow).is_ok(), "{shallow}");
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+    }
+    // deep enough to overflow any thread's stack if each level recursed
+    assert!(parse(&flow(200_000)).is_err());
+    assert!(parse(&format!("key: {}", flow(200_000))).is_err());
+    assert!(parse(&block_keys(2_000)).is_err());
+}
+
 #[test]
 fn flow_mapping() {
     let doc = parse("m: {a: 1, b: 'two'}\n").unwrap();
@@ -609,7 +653,7 @@ mod proptests {
 }
 
 mod json_tests {
-    use crate::json::MAX_JSON_DEPTH;
+    use crate::MAX_DEPTH;
     use crate::{emit_json, parse_json, Map, Value};
 
     fn obj(pairs: &[(&str, Value)]) -> Value {
@@ -704,8 +748,8 @@ mod json_tests {
             format!("{}0{}", "{\"k\":".repeat(depth), "}".repeat(depth))
         }
         for nested in [arrays, objects] {
-            assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
-            let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+            assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+            let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
             assert!(err.contains("nesting deeper than"), "{err}");
         }
         // deep enough to overflow any thread's stack if each level recursed

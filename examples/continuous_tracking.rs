@@ -57,7 +57,7 @@ fn main() {
     let points: Vec<(f64, f64)> = db
         .query(Some("stream"), Some("cts1"))
         .into_iter()
-        .filter(|r| r.result.variables.get("n_threads").map(String::as_str) == Some("36"))
+        .filter(|r| r.result.variables.get("n_threads") == Some("36"))
         .filter_map(|r| {
             let y = r
                 .result
