@@ -1,26 +1,11 @@
-//! `benchpark-bench` — the benchmark harness.
+//! `benchpark-bench` — the repository's one bench harness.
 //!
-//! Each Criterion bench target regenerates one of the paper's tables or
-//! figures (printing the artifact before measuring) and then benchmarks the
-//! machinery that produced it. See `DESIGN.md` §4 for the experiment index
-//! and `EXPERIMENTS.md` for the paper-vs-measured record.
-//!
-//! | target             | artifact |
-//! |--------------------|----------|
-//! | `table1`           | Table 1: the component matrix |
-//! | `fig14_extrap`     | Figure 14: Extra-P model of MPI_Bcast on CTS (+ ablation A4) |
-//! | `concretizer`      | Ablation A1: unify / reuse solve costs |
-//! | `matrix_expansion` | Figure 10 cardinalities at scale |
-//! | `scheduler`        | Ablation A3: FIFO vs backfill |
-//! | `ci_pipeline`      | Figure 6 / ablation A2: cold vs warm binary cache |
-//! | `fom_extract`      | Figure 8: FOM regex extraction throughput |
-//! | `saxpy_kernel`     | Figure 7: the real kernel's thread scaling |
-//! | `engine`           | Experiment engine: LPT plan + drive at DAG scale |
-//!
-//! The Criterion targets above regenerate artifacts; the [`suite`] module is
-//! the other half of the story — the deterministic hot-path suite behind
-//! `benchpark bench` whose medians form the committed `BENCH_<date>.json`
-//! trajectory (see `docs/perf/methodology.md`).
+//! The [`suite`] module is the deterministic hot-path suite behind
+//! `benchpark bench`; its medians form the committed `BENCH_<date>.json`
+//! trajectory that CI gates on (see `docs/perf/methodology.md`). The
+//! paper's tables and figures are regenerated by the CLI (`benchpark
+//! table1`, `benchpark fig14 [tree]`), the examples and the tests that
+//! assert them; `DESIGN.md` §4 indexes which one regenerates each artifact.
 
 pub mod suite;
 
@@ -28,10 +13,3 @@ pub use suite::{
     deep_package_name, run_suite, suite_names, synth_ledger_lines, synth_manifest, synth_repo,
     Scale, SuiteConfig,
 };
-
-/// A scratch directory for bench workspaces.
-pub fn bench_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-bench-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}

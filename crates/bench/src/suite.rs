@@ -1,15 +1,13 @@
 //! The hot-path suite behind `benchpark bench`: the benches whose medians
 //! form the repository's committed `BENCH_<date>.json` trajectory.
 //!
-//! Unlike the Criterion targets next door (which regenerate paper artifacts
-//! and print prose), this suite is a *measurement instrument*: fixed
-//! deterministic workloads, fixed iteration counts, statistics emitted as a
-//! [`BenchReport`] that `benchpark regress --bench` can gate on. The
-//! workload size is part of every bench name (`engine.plan.lpt.100k`), so a
-//! resized workload starts a fresh trajectory instead of corrupting an old
-//! one. See `docs/perf/methodology.md` for how these numbers are produced,
-//! compared, and acted on, and `docs/perf/benches.md` for what each bench
-//! covers.
+//! The suite is a *measurement instrument*: fixed deterministic workloads,
+//! fixed iteration counts, statistics emitted as a [`BenchReport`] that
+//! `benchpark regress --bench` can gate on. The workload size is part of
+//! every bench name (`engine.plan.lpt.100k`), so a resized workload starts a
+//! fresh trajectory instead of corrupting an old one. See
+//! `docs/perf/methodology.md` for how these numbers are produced, compared,
+//! and acted on, and `docs/perf/benches.md` for what each bench covers.
 //!
 //! The suite covers the pipeline's known hot paths:
 //!

@@ -583,6 +583,18 @@ fn binary_cache_shared_across_pipeline_runs() {
         !log.contains(" Build "),
         "second run should not rebuild: {log}"
     );
+
+    // ablation A2: the warm cache cuts virtual build time at least 5x
+    let build_seconds = |id| -> f64 {
+        // "installed N packages in X virtual seconds"
+        let log = &lab.pipeline(id).unwrap().jobs[0].log;
+        let line = log.lines().find(|l| l.contains("virtual seconds"));
+        line.and_then(|l| l.split_whitespace().nth(4))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no build time in log: {log}"))
+    };
+    let (cold, warm) = (build_seconds(p1), build_seconds(p2));
+    assert!(warm * 5.0 < cold, "cold {cold} s, warm {warm} s");
 }
 
 // ---------------------------------------------------------------------------

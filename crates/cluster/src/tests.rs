@@ -338,6 +338,37 @@ fn backfill_improves_utilization_over_fifo() {
         bf_makespan <= fifo_makespan + 1e-9,
         "backfill ({bf_makespan}) must not be slower than FIFO ({fifo_makespan})"
     );
+
+    // ablation A3's mix: a one-node blocker holds the machine-wide job back,
+    // and short fillers queued behind it can backfill the idle nodes;
+    // yields (mean filler wait, makespan)
+    let a3_mix = |policy| {
+        let mut cluster = Cluster::with_policy(Machine::ats4(), policy);
+        let blocker = "#SBATCH -N 1\n#SBATCH -n 1\n#SBATCH -t 60:00\nsrun -n 1 amg -P 1 1 1 -n 400 400 400 -problem 1\n";
+        let wide = format!(
+            "#SBATCH -N {}\n#SBATCH -n 8\n#SBATCH -t 60:00\nsrun -n 8 amg -P 2 2 2 -n 96 96 96 -problem 1\n",
+            cluster.machine.nodes
+        );
+        let filler = "#SBATCH -N 1\n#SBATCH -n 4\n#SBATCH -t 2:00\nsrun -n 4 amg -P 2 2 1 -n 96 96 96 -problem 1\n";
+        cluster.submit_script(blocker, "prod").unwrap();
+        cluster.submit_script(&wide, "prod").unwrap();
+        let fillers: Vec<_> = (0..16)
+            .map(|_| cluster.submit_script(filler, "bench").unwrap())
+            .collect();
+        cluster.run_until_idle();
+        let waits = fillers.iter().map(|id| {
+            let job = cluster.job(*id).unwrap();
+            job.start_time.unwrap() - job.submit_time
+        });
+        (waits.sum::<f64>() / fillers.len() as f64, cluster.now())
+    };
+    let (fifo_wait, fifo_makespan) = a3_mix(SchedulerPolicy::Fifo);
+    let (bf_wait, bf_makespan) = a3_mix(SchedulerPolicy::Backfill);
+    assert!(
+        bf_wait < fifo_wait,
+        "backfill filler wait {bf_wait} must beat FIFO's {fifo_wait}"
+    );
+    assert!(bf_makespan <= fifo_makespan + 1e-9);
 }
 
 #[test]

@@ -157,125 +157,6 @@ impl MetricsDatabase {
         Thicket::from_profiles(profiles)
     }
 
-    /// Serializes the database to YAML text — the sharing format for §5's
-    /// *"enable our collaborators to contribute the performance results of
-    /// the benchmarks as they execute them on their systems"*. Results
-    /// travel with their manifests, so receivers can reproduce them.
-    pub fn export_text(&self) -> String {
-        use benchpark_yamlite::{emit, Map, Value};
-        let mut records = Vec::new();
-        for r in self.inner.read().records.iter() {
-            let mut rec = Map::new();
-            rec.insert("sequence", Value::Int(r.sequence as i64));
-            rec.insert("system", Value::str(r.system.clone()));
-            rec.insert("benchmark", Value::str(r.benchmark.clone()));
-            rec.insert("variant", Value::str(r.variant.clone()));
-            rec.insert("manifest", Value::str(r.manifest.clone()));
-            rec.insert("experiment", Value::str(r.result.experiment.clone()));
-            rec.insert("workload", Value::str(r.result.workload.clone()));
-            rec.insert("status", Value::str(format!("{:?}", r.result.status)));
-            let mut foms = Map::new();
-            for f in &r.result.foms {
-                let mut entry = Map::new();
-                entry.insert("value", Value::str(f.value.clone()));
-                entry.insert("units", Value::str(f.units.clone()));
-                foms.insert(&f.name, Value::Map(entry));
-            }
-            rec.insert("foms", Value::Map(foms));
-            let mut vars = Map::new();
-            for (k, v) in &r.result.variables {
-                vars.insert(k, Value::str(v));
-            }
-            rec.insert("variables", Value::Map(vars));
-            records.push(Value::Map(rec));
-        }
-        let mut root = Map::new();
-        root.insert("benchpark_results", Value::Seq(records));
-        emit(&Value::Map(root))
-    }
-
-    /// Imports results exported by a collaborator. Imported sequences are
-    /// shifted past the local maximum so local history ordering survives.
-    /// Returns the number of records imported.
-    pub fn import_text(&self, text: &str) -> Result<usize, String> {
-        use benchpark_ramble::{ExperimentResult, FomValue};
-        use benchpark_yamlite::{parse, Value};
-        let doc = parse(text).map_err(|e| e.to_string())?;
-        let records = doc
-            .get("benchpark_results")
-            .and_then(Value::as_seq)
-            .ok_or("missing `benchpark_results` list")?;
-        let mut store = self.inner.write();
-        let offset = store.sequence;
-        let mut imported = 0usize;
-        let mut max_seen = 0u64;
-        for rec in records {
-            let get = |k: &str| rec.get(k).and_then(Value::as_str).map(String::from);
-            let sequence = rec
-                .get("sequence")
-                .and_then(Value::as_int)
-                .ok_or("record lacks sequence")? as u64;
-            max_seen = max_seen.max(sequence);
-            let status = match get("status").as_deref() {
-                Some("Success") => ExperimentStatus::Success,
-                Some("Failed") => ExperimentStatus::Failed,
-                _ => ExperimentStatus::JobError,
-            };
-            let mut foms = Vec::new();
-            if let Some(fom_map) = rec.get("foms").and_then(Value::as_map) {
-                for (name, body) in fom_map.iter() {
-                    foms.push(FomValue {
-                        name: name.clone(),
-                        value: body
-                            .get("value")
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string(),
-                        units: body
-                            .get("units")
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string(),
-                        context: Default::default(),
-                    });
-                }
-            }
-            let variables = rec
-                .get("variables")
-                .and_then(Value::as_map)
-                .map(|vars| {
-                    vars.iter()
-                        .filter_map(|(k, v)| Some((k, v.scalar_string()?)))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let id = store.next_id;
-            store.next_id += 1;
-            store.records.push(StoredResult {
-                id,
-                sequence: offset + sequence,
-                system: get("system").ok_or("record lacks system")?,
-                benchmark: get("benchmark").ok_or("record lacks benchmark")?,
-                variant: get("variant").unwrap_or_default(),
-                manifest: get("manifest").unwrap_or_default(),
-                result: ExperimentResult {
-                    experiment: get("experiment").unwrap_or_default(),
-                    application: get("benchmark").unwrap_or_default(),
-                    workload: get("workload").unwrap_or_default(),
-                    status,
-                    foms,
-                    criteria: Vec::new(),
-                    variables,
-                    profile: Vec::new(),
-                    cached: false,
-                },
-            });
-            imported += 1;
-        }
-        store.sequence = store.sequence.max(offset + max_seen);
-        Ok(imported)
-    }
-
     /// Records a pipeline telemetry report alongside benchmark results:
     /// counters and observation means become FOMs, the span tree becomes the
     /// stored profile — so pipeline health is queryable with the same

@@ -21,6 +21,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn all_system_profiles_lower_to_site_configs() {
+    assert_eq!(SystemProfile::all().len(), 4);
     for profile in SystemProfile::all() {
         let site = profile.site_config();
         assert!(

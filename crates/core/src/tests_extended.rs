@@ -185,60 +185,8 @@ fn lower_is_better_regression_direction() {
 }
 
 // ---------------------------------------------------------------------------
-// Result sharing (§5 collaboration) and usage metrics
+// Usage metrics
 // ---------------------------------------------------------------------------
-
-#[test]
-fn export_import_roundtrip() {
-    let db = MetricsDatabase::new();
-    run_stream_epoch(&db, None, "share");
-    let exported = db.export_text();
-    assert!(exported.contains("benchpark_results"));
-    assert!(exported.contains("triad_bw"));
-    assert!(exported.contains("manifest"));
-
-    // a collaborator at another center imports the shared results
-    let other = MetricsDatabase::new();
-    let imported = other.import_text(&exported).unwrap();
-    assert_eq!(imported, db.len());
-    assert_eq!(other.len(), db.len());
-    // FOM series identical after the round trip
-    assert_eq!(
-        db.fom_series("stream", "cts1", "triad_bw", "n_threads"),
-        other.fom_series("stream", "cts1", "triad_bw", "n_threads"),
-    );
-    // and re-exporting reproduces the same record count
-    let again = other.export_text();
-    let third = MetricsDatabase::new();
-    assert_eq!(third.import_text(&again).unwrap(), imported);
-}
-
-#[test]
-fn import_preserves_local_history_ordering() {
-    let db = MetricsDatabase::new();
-    run_stream_epoch(&db, None, "merge-local");
-    let local_max = db.all().iter().map(|r| r.sequence).max().unwrap();
-
-    let remote = MetricsDatabase::new();
-    run_stream_epoch(&remote, None, "merge-remote");
-    db.import_text(&remote.export_text()).unwrap();
-    // imported records sequence strictly after the local ones
-    let imported_min = db
-        .all()
-        .iter()
-        .filter(|r| r.sequence > local_max)
-        .map(|r| r.sequence)
-        .min()
-        .unwrap();
-    assert!(imported_min > local_max);
-}
-
-#[test]
-fn import_rejects_garbage() {
-    let db = MetricsDatabase::new();
-    assert!(db.import_text("not: relevant\n").is_err());
-    assert!(db.import_text("{{{{").is_err());
-}
 
 #[test]
 fn usage_counts_rank_benchmarks() {

@@ -371,9 +371,10 @@ ramble:
 
 #[test]
 fn bp0207_invalid_regex() {
-    let report = lint(&[(
-        "ramble.yaml",
-        "\
+    // the second pattern nests deep enough to overflow an unbounded parser
+    for pattern in ["(unclosed".to_string(), "(".repeat(200_000)] {
+        let text = format!(
+            "\
 ramble:
   applications:
     saxpy:
@@ -382,15 +383,17 @@ ramble:
           success_criteria:
           - name: done
             mode: string
-            match: '(unclosed'
+            match: '{pattern}'
           experiments:
             exp_one:
               variables:
                 n_nodes: '1'
-",
-    )]);
-    let d = diag(&report, "BP0207");
-    assert_eq!(d.span.unwrap().line, 9);
+"
+        );
+        let report = lint(&[("ramble.yaml", text.as_str())]);
+        let d = diag(&report, "BP0207");
+        assert_eq!(d.span.unwrap().line, 9);
+    }
 }
 
 #[test]

@@ -2,6 +2,11 @@
 
 use crate::error::RexError;
 
+/// Deepest group nesting a pattern may use. The parser and the compiler
+/// recurse once per level, so an unbounded pattern from user YAML could
+/// exhaust the stack and abort the process.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 /// A set of character ranges, possibly negated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassSet {
@@ -122,6 +127,7 @@ pub fn parse(pattern: &str) -> Result<Parsed, RexError> {
         pos: 0,
         next_group: 1,
         names: Vec::new(),
+        depth: 0,
     };
     let ast = parser.parse_alt()?;
     if parser.pos != parser.chars.len() {
@@ -142,6 +148,8 @@ struct Parser<'a> {
     pos: usize,
     next_group: usize,
     names: Vec<(String, usize)>,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -317,8 +325,7 @@ impl Parser<'_> {
     fn parse_group(&mut self) -> Result<Ast, RexError> {
         if self.eat('?') {
             if self.eat(':') {
-                let inner = self.parse_alt()?;
-                self.expect(')')?;
+                let inner = self.parse_group_body()?;
                 return Ok(Ast::NonCapturing(Box::new(inner)));
             }
             // (?P<name>…) or (?<name>…)
@@ -345,8 +352,7 @@ impl Parser<'_> {
             let index = self.next_group;
             self.next_group += 1;
             self.names.push((name.clone(), index));
-            let inner = self.parse_alt()?;
-            self.expect(')')?;
+            let inner = self.parse_group_body()?;
             return Ok(Ast::Group {
                 index,
                 name: Some(name),
@@ -355,13 +361,27 @@ impl Parser<'_> {
         }
         let index = self.next_group;
         self.next_group += 1;
-        let inner = self.parse_alt()?;
-        self.expect(')')?;
+        let inner = self.parse_group_body()?;
         Ok(Ast::Group {
             index,
             name: None,
             inner: Box::new(inner),
         })
+    }
+
+    /// group_body := alt ')', at most [`MAX_DEPTH`] groups deep.
+    fn parse_group_body(&mut self) -> Result<Ast, RexError> {
+        if self.depth == MAX_DEPTH {
+            return Err(RexError::new(
+                self.pos,
+                format!("groups nested deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let inner = self.parse_alt()?;
+        self.depth -= 1;
+        self.expect(')')?;
+        Ok(inner)
     }
 
     fn parse_class(&mut self) -> Result<Ast, RexError> {

@@ -230,6 +230,21 @@ fn compile_errors() {
     assert!(Regex::new("^*").is_err());
 }
 
+/// Group nesting past `MAX_DEPTH` is a `RexError`, never a stack overflow
+/// that aborts the process.
+#[test]
+fn nesting_is_bounded_not_fatal() {
+    use crate::ast::MAX_DEPTH;
+    for open in ["(", "(?:"] {
+        let nested = |depth: usize| format!("{}a{}", open.repeat(depth), ")".repeat(depth));
+        let re = Regex::new(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(re.find("xa").map(|m| (m.start, m.end)), Some((1, 2)));
+        let err = Regex::new(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert!(Regex::new(&open.repeat(200_000)).is_err());
+    }
+}
+
 #[test]
 fn pathological_pattern_is_linear() {
     // (a+)+b on a long run of 'a's: catastrophic for backtrackers,

@@ -4,6 +4,17 @@ use benchpark_ramble::ExperimentResult;
 use benchpark_yamlite::{emit_json, Map, Value};
 use std::collections::BTreeMap;
 
+/// Fraction of experiments satisfied from fingerprint caches: `cached /
+/// (fresh + cached)`, and 0 before any experiment ran. The one formula
+/// behind the report, status snapshot and rolling-window hit rates.
+pub(crate) fn hit_rate(fresh: u64, cached: u64) -> f64 {
+    let total = fresh + cached;
+    if total == 0 {
+        return 0.0;
+    }
+    cached as f64 / total as f64
+}
+
 /// One refused submission in the rejection roll.
 #[derive(Debug, Clone)]
 pub struct RejectionRecord {
@@ -78,11 +89,7 @@ impl ServeReport {
 
     /// Fraction of experiments satisfied from fingerprint caches.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.experiments_fresh + self.experiments_cached;
-        if total == 0 {
-            return 0.0;
-        }
-        self.experiments_cached as f64 / total as f64
+        hit_rate(self.experiments_fresh, self.experiments_cached)
     }
 
     /// Human-readable summary.

@@ -9,7 +9,7 @@
 //! commit-order tallies — never wall clocks — so `--jobs 1` and `--jobs 8`
 //! drains of the same submissions write byte-identical files.
 
-use crate::report::ServeReport;
+use crate::report::{hit_rate, ServeReport};
 use crate::slo::{SloSpec, SloVerdict, Verdict};
 use crate::window::RollingWindows;
 use benchpark_telemetry::HistogramStats;
@@ -289,11 +289,7 @@ impl StatusSnapshot {
 
     /// Fraction of experiments satisfied from fingerprint caches.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.experiments_fresh + self.experiments_cached;
-        if total == 0 {
-            return 0.0;
-        }
-        self.experiments_cached as f64 / total as f64
+        hit_rate(self.experiments_fresh, self.experiments_cached)
     }
 
     /// True when any target's verdict is `FAIL` (`benchpark status

@@ -10,6 +10,7 @@
 //! same submission sequence produce identical windows at any `--jobs`
 //! count.
 
+use crate::report::hit_rate;
 use benchpark_telemetry::HistogramStats;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -96,11 +97,7 @@ impl WindowSummary {
 
     /// Fraction of experiments satisfied from fingerprint caches.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.experiments_fresh + self.experiments_cached;
-        if total == 0 {
-            return 0.0;
-        }
-        self.experiments_cached as f64 / total as f64
+        hit_rate(self.experiments_fresh, self.experiments_cached)
     }
 
     /// Fraction of finished requests that failed.

@@ -6,17 +6,23 @@
 //! Six scheduled benchmarking epochs run on `cts1`. After epoch 4, a memory
 //! DIMM degrades (bandwidth halved on the machine). The regression detector
 //! flags the drop immediately, and the §5-style dashboard plot makes it
-//! visible. Finally the results are exported in the collaboration format and
-//! re-imported at "another center".
+//! visible. Every run is appended to a ledger shard, the history the
+//! detector reads, and a collaborating center rebuilds the same history from
+//! the shared shards (§5).
 //!
 //! ```text
 //! cargo run --example continuous_tracking
 //! ```
 
 use benchpark::cluster::FaultSpec;
-use benchpark::core::{ascii_plot, detect_regression, Benchpark, MetricsDatabase, SystemProfile};
+use benchpark::core::{
+    append_run, ascii_plot, detect_regression, load_ledger, shard_path, Benchpark, RunRecord,
+    ShardedLedger, SystemProfile,
+};
+use benchpark::telemetry::TelemetrySink;
+use std::path::Path;
 
-fn run_epoch(db: &MetricsDatabase, epoch: usize, degrade: Option<f64>) {
+fn run_epoch(ledger: &Path, epoch: usize, degrade: Option<f64>) {
     let benchpark = Benchpark::new();
     let mut machine = SystemProfile::cts1().machine();
     if let Some(factor) = degrade {
@@ -29,30 +35,40 @@ fn run_epoch(db: &MetricsDatabase, epoch: usize, degrade: Option<f64>) {
         .expect("setup");
     ws.run().expect("run");
     let analysis = ws.analyze(&benchpark).expect("analyze");
-    db.record(
+    let mut record = RunRecord::from_run(
         "cts1",
         "stream",
         "openmp",
         &ws.manifest(),
         &analysis.results,
+        None,
     );
+    append_run(ledger, &mut record).expect("append to ledger");
 }
 
 fn main() {
-    let db = MetricsDatabase::new();
+    let ledger_root = std::env::temp_dir().join("benchpark-tracking-ledger");
+    let _ = std::fs::remove_dir_all(&ledger_root);
+    let ledger = shard_path(&ledger_root, "llnl", "cts1");
+    std::fs::create_dir_all(ledger.parent().unwrap()).expect("ledger dir");
+    let history = || {
+        let load = load_ledger(&ledger, &TelemetrySink::noop()).expect("load ledger");
+        load.to_database()
+    };
 
     println!("running 6 scheduled benchmarking epochs on cts1…");
     for epoch in 1..=6 {
         // the DIMM fails before epoch 5
         let degrade = (epoch >= 5).then_some(0.5);
-        run_epoch(&db, epoch, degrade);
-        let verdict = detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.10);
+        run_epoch(&ledger, epoch, degrade);
+        let verdict = detect_regression(&history(), "stream", "cts1", "triad_bw", true, 0.10);
         match verdict {
             Some(report) => println!("epoch {epoch}: {}", report.render()),
             None => println!("epoch {epoch}: gathering baseline…"),
         }
     }
 
+    let db = history();
     // dashboard view: triad bandwidth at max threads, per epoch
     let points: Vec<(f64, f64)> = db
         .query(Some("stream"), Some("cts1"))
@@ -84,13 +100,14 @@ fn main() {
         db.usage_counts()
     );
 
-    // share the history with a collaborator (§5)
-    let exported = db.export_text();
-    let other_center = MetricsDatabase::new();
-    let imported = other_center.import_text(&exported).expect("import");
+    // share the history with a collaborator (§5): ledger records are
+    // self-contained JSONL, so the shard root alone rebuilds the history
+    let shared = ShardedLedger::load(&ledger_root, &TelemetrySink::noop()).expect("load ledger");
+    let other_center = shared.merged.to_database();
     println!(
-        "\nexported {} results; the collaborating center imported {imported} and sees:",
-        db.len()
+        "\nshared {} runs; the collaborating center rebuilt {} results and sees:",
+        shared.len(),
+        other_center.len()
     );
     print!("{}", other_center.render_dashboard());
 }
