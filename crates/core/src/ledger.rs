@@ -23,7 +23,13 @@
 //! * **Corruption-tolerant** — a truncated or garbled line (the process
 //!   died mid-append, a careless merge) is skipped and counted under the
 //!   `obs.ledger.skipped` telemetry counter; the surrounding history stays
-//!   loadable.
+//!   loadable. Ledgers are read as bytes and split on `\n`, so this holds
+//!   for a line that is not UTF-8 too, such as a record torn inside a
+//!   multi-byte character.
+//! * **Cheap to replay** — every reader ([`load_ledger`],
+//!   [`ShardedLedger::load`], and the valid-record count in [`append_run`])
+//!   decodes a line straight into a [`RunRecord`] from a
+//!   [`benchpark_yamlite::JsonCursor`], without building a JSON tree first.
 //! * **Versioned** — each record carries `schema`; records with an
 //!   unrecognized version are skipped like corrupt lines rather than
 //!   misread. This build writes schema 3 (which adds the optional
@@ -38,9 +44,9 @@
 
 use crate::fingerprint::FingerprintIndex;
 use crate::metrics::MetricsDatabase;
-use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
+use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue, VarMap};
 use benchpark_telemetry::{TelemetryReport, TelemetrySink};
-use benchpark_yamlite::{emit_json, parse_json, Map, Value};
+use benchpark_yamlite::{emit_json, JsonCursor, Map, Token, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -209,106 +215,23 @@ impl RunRecord {
 
     /// Parses one ledger line. Fails on malformed JSON, a missing required
     /// field, a malformed field value, or an unknown schema version.
+    ///
+    /// The line is decoded straight from a [`JsonCursor`], with no
+    /// [`Value`] tree in between. It reads JSON the way [`parse_json`]
+    /// does: the whole line must be well formed and nest at most 128
+    /// levels, unknown keys included, and of a repeated key the last
+    /// occurrence counts, so an earlier malformed duplicate does not fail
+    /// the line.
+    ///
+    /// [`parse_json`]: benchpark_yamlite::parse_json
     pub fn parse_line(line: &str) -> Result<RunRecord, String> {
-        let doc = parse_json(line)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Value::as_int)
-            .ok_or("record lacks `schema`")?;
-        if !(LEDGER_SCHEMA_MIN..=LEDGER_SCHEMA).contains(&schema) {
-            return Err(format!("unknown ledger schema version {schema}"));
-        }
-        let text = |key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(Value::as_str)
-                .map(String::from)
-                .ok_or_else(|| format!("record lacks `{key}`"))
+        let mut cursor = JsonCursor::new(line);
+        let record = match record(&mut cursor) {
+            Ok(record) => record,
+            Err(Bad::Json(error) | Bad::Field(error)) => return Err(error),
         };
-        let mut results = Vec::new();
-        for item in doc
-            .get("results")
-            .and_then(Value::as_seq)
-            .ok_or("record lacks `results`")?
-        {
-            results.push(result_from_value(item)?);
-        }
-        let mut fingerprints = Vec::new();
-        if let Some(map) = doc.get("fingerprints").and_then(Value::as_map) {
-            for (experiment, fingerprint) in map.iter() {
-                let fingerprint = fingerprint
-                    .as_str()
-                    .ok_or("fingerprint must be a string")?
-                    .to_string();
-                fingerprints.push((experiment.clone(), fingerprint));
-            }
-        }
-        let mut counters = Vec::new();
-        let mut observations = Vec::new();
-        if let Some(telemetry) = doc.get("telemetry") {
-            if let Some(map) = telemetry.get("counters").and_then(Value::as_map) {
-                for (name, total) in map.iter() {
-                    let total = total.as_int().ok_or("counter total must be an integer")?;
-                    // a negative total is corruption, not data — reject the
-                    // record (the corrupt-line skip path handles it) rather
-                    // than clamp it into a valid-looking history
-                    if total < 0 {
-                        return Err(format!("counter `{name}` total {total} is negative"));
-                    }
-                    counters.push((name.clone(), total as u64));
-                }
-            }
-            if let Some(map) = telemetry.get("observations").and_then(Value::as_map) {
-                for (name, mean) in map.iter() {
-                    let mean = mean.as_float().ok_or("observation mean must be numeric")?;
-                    observations.push((name.clone(), mean));
-                }
-            }
-        }
-        let mut request = None;
-        if let Some(map) = doc.get("request").and_then(Value::as_map) {
-            let tick = |key: &str| -> Result<u64, String> {
-                let value = map
-                    .get(key)
-                    .and_then(Value::as_int)
-                    .ok_or_else(|| format!("request trace lacks `{key}`"))?;
-                if value < 0 {
-                    return Err(format!("request trace `{key}` {value} is negative"));
-                }
-                Ok(value as u64)
-            };
-            request = Some(RequestTrace {
-                tenant: map
-                    .get("tenant")
-                    .and_then(Value::as_str)
-                    .ok_or("request trace lacks `tenant`")?
-                    .to_string(),
-                request_id: tick("request_id")?,
-                submit_tick: tick("submit_tick")?,
-                queue_wait_ticks: tick("queue_wait_ticks")?,
-                schedule_ticks: tick("schedule_ticks")?,
-                execute_ticks: tick("execute_ticks")?,
-                commit_ticks: tick("commit_ticks")?,
-            });
-        }
-        let sequence = doc
-            .get("sequence")
-            .and_then(Value::as_int)
-            .ok_or("record lacks `sequence`")?;
-        if sequence < 0 {
-            return Err(format!("sequence {sequence} is negative"));
-        }
-        Ok(RunRecord {
-            sequence: sequence as u64,
-            system: text("system")?,
-            benchmark: text("benchmark")?,
-            variant: text("variant")?,
-            manifest: text("manifest")?,
-            results,
-            fingerprints,
-            counters,
-            observations,
-            request,
-        })
+        cursor.finish()?;
+        Ok(record)
     }
 
     /// Total for a named counter in this record's telemetry summary.
@@ -384,144 +307,464 @@ fn result_to_value(result: &ExperimentResult) -> Value {
     Value::Map(rec)
 }
 
-fn result_from_value(value: &Value) -> Result<ExperimentResult, String> {
-    let text = |key: &str| -> Result<String, String> {
-        value
-            .get(key)
-            .and_then(Value::as_str)
-            .map(String::from)
-            .ok_or_else(|| format!("experiment result lacks `{key}`"))
+/// Why a ledger line did not decode: its JSON is malformed, or a well-formed
+/// value does not fit its field.
+enum Bad {
+    Json(String),
+    Field(String),
+}
+
+impl From<String> for Bad {
+    fn from(error: String) -> Bad {
+        Bad::Json(error)
+    }
+}
+
+type Decoded<T> = Result<T, Bad>;
+
+fn bad<T>(message: impl Into<String>) -> Decoded<T> {
+    Err(Bad::Field(message.into()))
+}
+
+/// The last occurrence of one object key: `None` until the key is seen,
+/// then its value or why the value does not fit.
+type Slot<T> = Option<Result<T, String>>;
+
+/// Decodes the value due next with `decode`, then skips whatever of it
+/// `decode` left unread. A value that does not fit its field comes back as
+/// `Ok(Err(_))`, for a [`Slot`] a later duplicate key may still overwrite;
+/// only malformed JSON fails at once.
+fn field<'a, T>(
+    cursor: &mut JsonCursor<'a>,
+    decode: impl FnOnce(&mut JsonCursor<'a>) -> Decoded<T>,
+) -> Result<Result<T, String>, String> {
+    let depth = cursor.depth();
+    let decoded = match decode(cursor) {
+        Ok(value) => Ok(value),
+        Err(Bad::Field(error)) => Err(error),
+        Err(Bad::Json(error)) => return Err(error),
     };
-    let status = match text("status")?.as_str() {
-        "Success" => ExperimentStatus::Success,
-        "Failed" => ExperimentStatus::Failed,
-        "JobError" => ExperimentStatus::JobError,
-        other => return Err(format!("unknown experiment status `{other}`")),
+    cursor.skip_to(depth)?;
+    Ok(decoded)
+}
+
+fn required<T>(slot: Slot<T>, missing: &str) -> Decoded<T> {
+    slot.unwrap_or_else(|| Err(missing.to_string()))
+        .map_err(Bad::Field)
+}
+
+fn optional<T: Default>(slot: Slot<T>) -> Decoded<T> {
+    slot.unwrap_or_else(|| Ok(T::default())).map_err(Bad::Field)
+}
+
+fn text<'a>(cursor: &mut JsonCursor<'a>) -> Decoded<Cow<'a, str>> {
+    match cursor.value()? {
+        Token::Str(text) => Ok(text),
+        _ => bad("expected a string"),
+    }
+}
+
+/// A non-negative integer: a negative one is corruption, not data, so it
+/// fails the record (the loader skips and counts it) rather than being
+/// clamped into a valid-looking history.
+fn count(token: Token<'_>, what: impl FnOnce() -> String) -> Result<u64, String> {
+    match token {
+        Token::Int(n) if n >= 0 => Ok(n as u64),
+        Token::Int(n) => Err(format!("{} {n} is negative", what())),
+        _ => Err(format!("{} must be an integer", what())),
+    }
+}
+
+fn number(token: Token<'_>) -> Option<f64> {
+    match token {
+        Token::Int(i) => Some(i as f64),
+        Token::Float(f) => Some(f),
+        _ => None,
+    }
+}
+
+/// A scalar as text, the way [`Value::scalar_string`] renders it; `null`
+/// and collections (skipped) read as empty.
+fn scalar_text<'a>(cursor: &mut JsonCursor<'a>) -> Result<Cow<'a, str>, String> {
+    let depth = cursor.depth();
+    Ok(match cursor.value()? {
+        Token::Str(text) => text,
+        Token::Bool(b) => Cow::Borrowed(if b { "true" } else { "false" }),
+        Token::Int(i) => Cow::Owned(i.to_string()),
+        Token::Float(f) => Cow::Owned(Value::Float(f).scalar_string().unwrap_or_default()),
+        Token::Null => Cow::Borrowed(""),
+        Token::Map | Token::Seq => {
+            cursor.skip_to(depth)?;
+            Cow::Borrowed("")
+        }
+    })
+}
+
+/// An object of scalars as a list in first-occurrence order, each key with
+/// its last value. A value `decode` rejects fails the list only if no later
+/// duplicate replaces it. Anything but an object reads as empty.
+fn entries<'a, V>(
+    cursor: &mut JsonCursor<'a>,
+    decode: impl Fn(&str, Token<'a>) -> Result<V, String>,
+) -> Decoded<Vec<(String, V)>> {
+    if cursor.value()? != Token::Map {
+        return Ok(Vec::new());
+    }
+    let mut list: Vec<(String, Result<V, String>)> = Vec::new();
+    while let Some(key) = cursor.key()? {
+        let depth = cursor.depth();
+        let value = decode(&key, cursor.value()?);
+        cursor.skip_to(depth)?;
+        match list.iter_mut().find(|(k, _)| *k == key) {
+            Some(entry) => entry.1 = value,
+            None => list.push((key.into_owned(), value)),
+        }
+    }
+    // exactly sized: a loaded ledger keeps these lists
+    let mut entries = Vec::with_capacity(list.len());
+    for (key, value) in list {
+        entries.push((key, value.map_err(Bad::Field)?));
+    }
+    Ok(entries)
+}
+
+/// Each item of a sequence through `decode`. Anything but a sequence fails
+/// with `missing` when the field is required, else reads as empty.
+fn items<'a, T>(
+    cursor: &mut JsonCursor<'a>,
+    missing: Option<&str>,
+    mut decode: impl FnMut(&mut JsonCursor<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    let mut items = Vec::new();
+    if cursor.value()? == Token::Seq {
+        while cursor.item()? {
+            items.push(decode(cursor)?);
+        }
+    } else if let Some(missing) = missing {
+        return bad(missing);
+    }
+    Ok(items)
+}
+
+/// A two-item sequence `[name, second]`; `None` for any other shape.
+fn pair<'a>(cursor: &mut JsonCursor<'a>) -> Result<Option<(Cow<'a, str>, Token<'a>)>, String> {
+    if cursor.value()? != Token::Seq || !cursor.item()? {
+        return Ok(None);
+    }
+    let Token::Str(name) = cursor.value()? else {
+        return Ok(None);
     };
-    let mut foms = Vec::new();
-    for item in value
-        .get("foms")
-        .and_then(Value::as_seq)
-        .ok_or("experiment result lacks `foms`")?
-    {
-        let field = |key: &str| -> Result<String, String> {
-            item.get(key)
-                .and_then(Value::as_str)
-                .map(String::from)
-                .ok_or_else(|| format!("fom lacks `{key}`"))
+    if !cursor.item()? {
+        return Ok(None);
+    }
+    let second = cursor.value()?;
+    if matches!(second, Token::Map | Token::Seq) || cursor.item()? {
+        return Ok(None);
+    }
+    Ok(Some((name, second)))
+}
+
+fn record(cursor: &mut JsonCursor<'_>) -> Decoded<RunRecord> {
+    if cursor.value()? != Token::Map {
+        return bad("record is not an object");
+    }
+    let (mut schema, mut sequence, mut request) = (None, None, None);
+    let (mut system, mut benchmark, mut variant, mut manifest) = (None, None, None, None);
+    let (mut results, mut fingerprints, mut telemetry) = (None, None, None);
+    while let Some(key) = cursor.key()? {
+        match &*key {
+            "schema" => {
+                schema = Some(field(cursor, |c| match c.value()? {
+                    Token::Int(schema) => Ok(schema),
+                    _ => bad("record lacks `schema`"),
+                })?)
+            }
+            "sequence" => {
+                sequence = Some(field(cursor, |c| {
+                    count(c.value()?, || "sequence".to_string()).map_err(Bad::Field)
+                })?)
+            }
+            "system" => system = Some(field(cursor, text)?),
+            "benchmark" => benchmark = Some(field(cursor, text)?),
+            "variant" => variant = Some(field(cursor, text)?),
+            "manifest" => manifest = Some(field(cursor, text)?),
+            "request" => request = Some(field(cursor, request_trace)?),
+            "results" => {
+                results = Some(field(cursor, |c| {
+                    items(c, Some("record lacks `results`"), experiment_result)
+                })?)
+            }
+            "fingerprints" => {
+                fingerprints = Some(field(cursor, |c| {
+                    entries(c, |_, token| match token {
+                        Token::Str(fingerprint) => Ok(fingerprint.into_owned()),
+                        _ => Err("fingerprint must be a string".to_string()),
+                    })
+                })?)
+            }
+            "telemetry" => telemetry = Some(field(cursor, telemetry_summary)?),
+            _ => cursor.skip()?,
+        }
+    }
+    let schema = required(schema, "record lacks `schema`")?;
+    if !(LEDGER_SCHEMA_MIN..=LEDGER_SCHEMA).contains(&schema) {
+        return bad(format!("unknown ledger schema version {schema}"));
+    }
+    let (counters, observations) = optional(telemetry)?;
+    Ok(RunRecord {
+        sequence: required(sequence, "record lacks `sequence`")?,
+        system: required(system, "record lacks `system`")?.into_owned(),
+        benchmark: required(benchmark, "record lacks `benchmark`")?.into_owned(),
+        variant: required(variant, "record lacks `variant`")?.into_owned(),
+        manifest: required(manifest, "record lacks `manifest`")?.into_owned(),
+        results: required(results, "record lacks `results`")?,
+        fingerprints: optional(fingerprints)?,
+        counters,
+        observations,
+        request: optional(request)?,
+    })
+}
+
+/// The `telemetry` block's counter totals and observation means; anything
+/// but an object reads as empty.
+#[allow(clippy::type_complexity)]
+fn telemetry_summary(
+    cursor: &mut JsonCursor<'_>,
+) -> Decoded<(Vec<(String, u64)>, Vec<(String, f64)>)> {
+    let (mut counters, mut observations) = (None, None);
+    if cursor.value()? == Token::Map {
+        while let Some(key) = cursor.key()? {
+            match &*key {
+                "counters" => {
+                    counters = Some(field(cursor, |c| {
+                        entries(c, |name, token| {
+                            count(token, || format!("counter `{name}` total"))
+                        })
+                    })?)
+                }
+                "observations" => {
+                    observations = Some(field(cursor, |c| {
+                        entries(c, |_, token| {
+                            number(token)
+                                .ok_or_else(|| "observation mean must be numeric".to_string())
+                        })
+                    })?)
+                }
+                _ => cursor.skip()?,
+            }
+        }
+    }
+    Ok((optional(counters)?, optional(observations)?))
+}
+
+/// The `request` block; anything but an object reads as no trace.
+fn request_trace(cursor: &mut JsonCursor<'_>) -> Decoded<Option<RequestTrace>> {
+    const TICKS: [&str; 6] = [
+        "request_id",
+        "submit_tick",
+        "queue_wait_ticks",
+        "schedule_ticks",
+        "execute_ticks",
+        "commit_ticks",
+    ];
+    if cursor.value()? != Token::Map {
+        return Ok(None);
+    }
+    let mut tenant = None;
+    let mut ticks: [Slot<u64>; 6] = Default::default();
+    while let Some(key) = cursor.key()? {
+        if key == "tenant" {
+            tenant = Some(field(cursor, text)?);
+        } else if let Some(i) = TICKS.iter().position(|name| key == *name) {
+            ticks[i] = Some(field(cursor, |c| {
+                count(c.value()?, || format!("request trace `{}`", TICKS[i])).map_err(Bad::Field)
+            })?);
+        } else {
+            cursor.skip()?;
+        }
+    }
+    let mut values = [0u64; 6];
+    for ((value, slot), name) in values.iter_mut().zip(ticks).zip(TICKS) {
+        *value = match slot {
+            Some(tick) => tick.map_err(Bad::Field)?,
+            None => return bad(format!("request trace lacks `{name}`")),
         };
-        let mut context = BTreeMap::new();
-        if let Some(map) = item.get("context").and_then(Value::as_map) {
-            for (k, v) in map.iter() {
-                context.insert(k.clone(), v.scalar_string().unwrap_or_default());
-            }
-        }
-        foms.push(FomValue {
-            name: field("name")?,
-            value: field("value")?,
-            units: field("units")?,
-            context,
-        });
     }
-    let mut criteria = Vec::new();
-    if let Some(items) = value.get("criteria").and_then(Value::as_seq) {
-        for pair in items {
-            let pair = pair.as_seq().ok_or("criterion must be a [name, ok] pair")?;
-            match pair {
-                [Value::Str(name), Value::Bool(ok)] => criteria.push((name.clone(), *ok)),
-                _ => return Err("criterion must be a [name, ok] pair".to_string()),
-            }
-        }
+    let [request_id, submit_tick, queue_wait_ticks, schedule_ticks, execute_ticks, commit_ticks] =
+        values;
+    Ok(Some(RequestTrace {
+        tenant: required(tenant, "request trace lacks `tenant`")?.into_owned(),
+        request_id,
+        submit_tick,
+        queue_wait_ticks,
+        schedule_ticks,
+        execute_ticks,
+        commit_ticks,
+    }))
+}
+
+fn experiment_result(cursor: &mut JsonCursor<'_>) -> Decoded<ExperimentResult> {
+    if cursor.value()? != Token::Map {
+        return bad("experiment result is not an object");
     }
-    let variables = value
-        .get("variables")
-        .and_then(Value::as_map)
-        .map(|map| {
-            map.iter()
-                .map(|(k, v)| match v.as_str() {
-                    Some(text) => (k, Cow::Borrowed(text)),
-                    None => (k, Cow::Owned(v.scalar_string().unwrap_or_default())),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut profile = Vec::new();
-    if let Some(items) = value.get("profile").and_then(Value::as_seq) {
-        for pair in items {
-            let pair = pair
-                .as_seq()
-                .ok_or("profile entry must be [name, seconds]")?;
-            match pair {
-                [Value::Str(name), seconds] => profile.push((
-                    name.clone(),
-                    seconds
-                        .as_float()
-                        .ok_or("profile seconds must be numeric")?,
-                )),
-                _ => return Err("profile entry must be [name, seconds]".to_string()),
+    let (mut experiment, mut application, mut workload, mut status) = (None, None, None, None);
+    let (mut foms, mut criteria, mut variables, mut profile, mut cached) =
+        (None, None, None, None, None);
+    while let Some(key) = cursor.key()? {
+        match &*key {
+            "experiment" => experiment = Some(field(cursor, text)?),
+            "application" => application = Some(field(cursor, text)?),
+            "workload" => workload = Some(field(cursor, text)?),
+            "status" => {
+                status = Some(field(cursor, |c| match &*text(c)? {
+                    "Success" => Ok(ExperimentStatus::Success),
+                    "Failed" => Ok(ExperimentStatus::Failed),
+                    "JobError" => Ok(ExperimentStatus::JobError),
+                    other => bad(format!("unknown experiment status `{other}`")),
+                })?)
             }
+            "foms" => {
+                foms = Some(field(cursor, |c| {
+                    items(c, Some("experiment result lacks `foms`"), fom)
+                })?)
+            }
+            "criteria" => {
+                criteria = Some(field(cursor, |c| {
+                    items(c, None, |c| match pair(c)? {
+                        Some((name, Token::Bool(ok))) => Ok((name.into_owned(), ok)),
+                        _ => bad("criterion must be a [name, ok] pair"),
+                    })
+                })?)
+            }
+            "variables" => {
+                variables = Some(field(cursor, |c| {
+                    let mut pairs = Vec::new();
+                    if c.value()? == Token::Map {
+                        while let Some(key) = c.key()? {
+                            pairs.push((key, scalar_text(c)?));
+                        }
+                    }
+                    Ok(pairs.into_iter().collect::<VarMap>())
+                })?)
+            }
+            "profile" => {
+                profile = Some(field(cursor, |c| {
+                    items(c, None, |c| match pair(c)? {
+                        Some((name, seconds)) => match number(seconds) {
+                            Some(seconds) => Ok((name.into_owned(), seconds)),
+                            None => bad("profile seconds must be numeric"),
+                        },
+                        None => bad("profile entry must be [name, seconds]"),
+                    })
+                })?)
+            }
+            // absent in schema-1 records: those were all freshly measured
+            "cached" => cached = Some(field(cursor, |c| Ok(c.value()? == Token::Bool(true)))?),
+            _ => cursor.skip()?,
         }
     }
     Ok(ExperimentResult {
-        experiment: text("experiment")?,
-        application: text("application")?,
-        workload: text("workload")?,
-        status,
-        foms,
-        criteria,
-        variables,
-        profile,
-        // absent in schema-1 records: those were all freshly measured
-        cached: value
-            .get("cached")
-            .and_then(Value::as_bool)
-            .unwrap_or(false),
+        experiment: required(experiment, "experiment result lacks `experiment`")?.into_owned(),
+        application: required(application, "experiment result lacks `application`")?.into_owned(),
+        workload: required(workload, "experiment result lacks `workload`")?.into_owned(),
+        status: required(status, "experiment result lacks `status`")?,
+        foms: required(foms, "experiment result lacks `foms`")?,
+        criteria: optional(criteria)?,
+        variables: optional(variables)?,
+        profile: optional(profile)?,
+        cached: optional(cached)?,
     })
+}
+
+fn fom(cursor: &mut JsonCursor<'_>) -> Decoded<FomValue> {
+    if cursor.value()? != Token::Map {
+        return bad("fom is not an object");
+    }
+    let (mut name, mut value, mut units, mut context) = (None, None, None, None);
+    while let Some(key) = cursor.key()? {
+        match &*key {
+            "name" => name = Some(field(cursor, text)?),
+            "value" => value = Some(field(cursor, text)?),
+            "units" => units = Some(field(cursor, text)?),
+            "context" => {
+                context = Some(field(cursor, |c| {
+                    let mut context = BTreeMap::new();
+                    if c.value()? == Token::Map {
+                        while let Some(key) = c.key()? {
+                            context.insert(key.into_owned(), scalar_text(c)?.into_owned());
+                        }
+                    }
+                    Ok(context)
+                })?)
+            }
+            _ => cursor.skip()?,
+        }
+    }
+    Ok(FomValue {
+        name: required(name, "fom lacks `name`")?.into_owned(),
+        value: required(value, "fom lacks `value`")?.into_owned(),
+        units: required(units, "fom lacks `units`")?.into_owned(),
+        context: optional(context)?,
+    })
+}
+
+/// Streams the lines of the file at `path` into `each` as bytes, each with
+/// its `\n` if it has one. Nothing is decoded as text here, so a line that
+/// is not UTF-8 reaches `each` like any other.
+fn read_lines(path: &Path, mut each: impl FnMut(&[u8])) -> std::io::Result<()> {
+    use std::io::BufRead as _;
+    let mut reader = std::io::BufReader::with_capacity(1 << 16, std::fs::File::open(path)?);
+    let mut line = Vec::new();
+    while reader.read_until(b'\n', &mut line)? > 0 {
+        each(&line);
+        line.clear();
+    }
+    Ok(())
+}
+
+/// Decodes one ledger line: `None` when it is blank, else its record or why
+/// it is corrupt. A line that is not UTF-8 (say, a record torn inside a
+/// multi-byte character) is corrupt like any other.
+fn decode_line(line: &[u8]) -> Option<Result<RunRecord, String>> {
+    match std::str::from_utf8(line) {
+        Ok(text) if text.trim().is_empty() => None,
+        Ok(text) => Some(RunRecord::parse_line(text)),
+        Err(e) => Some(Err(format!("line is not UTF-8: {e}"))),
+    }
 }
 
 /// Appends one record to the ledger at `path`, creating the file if needed.
 /// The record's `sequence` is stamped from the ledger's current count of
-/// *valid* records — the same criterion [`load_ledger`] re-stamps by — so
-/// persisted and replayed sequence numbers agree even when corrupt or
-/// unknown-schema lines sit in the file (a count of raw lines would
-/// diverge as soon as one line is garbled). The file is streamed line by
-/// line rather than slurped, so a growing ledger never costs a
-/// whole-history allocation per append. Returns the stamped sequence.
+/// *valid* records — the same criterion [`load_ledger`] re-stamps by, line
+/// for line — so persisted and replayed sequence numbers agree even when
+/// corrupt, non-UTF-8 or unknown-schema lines sit in the file (a count of
+/// raw lines would diverge as soon as one line is garbled). The file is
+/// streamed as bytes, line by line, rather than slurped, so a growing
+/// ledger never costs a whole-history allocation per append. Returns the
+/// stamped sequence.
 ///
 /// Crash safety: the record is serialized into a single buffer, written
 /// with one `write_all`, and `fsync`ed before this function returns — a
 /// caller (like the serve daemon's fingerprint index) never observes an
 /// append that is not durable. If the file's last byte is not a newline —
-/// the tail of a torn append from a process killed mid-write — a newline
-/// is emitted first, so the torn fragment stays contained in its own line
-/// (skipped and counted by [`load_ledger`]) instead of corrupting this
-/// record too.
+/// the tail of a torn append from a process killed mid-write, perhaps
+/// inside a multi-byte character — a newline is emitted first, so the torn
+/// fragment stays contained in its own line (skipped and counted by
+/// [`load_ledger`]) instead of corrupting this record too.
 pub fn append_run(path: &Path, record: &mut RunRecord) -> Result<u64, String> {
-    use std::io::{BufRead as _, Write as _};
-    let (existing, ends_with_newline) = match std::fs::File::open(path) {
-        Ok(file) => {
-            let mut reader = std::io::BufReader::new(file);
-            let mut line = String::new();
-            let mut valid = 0u64;
-            let mut newline_terminated = true;
-            loop {
-                line.clear();
-                let read = reader
-                    .read_line(&mut line)
-                    .map_err(|e| format!("cannot read ledger `{}`: {e}", path.display()))?;
-                if read == 0 {
-                    break;
-                }
-                newline_terminated = line.ends_with('\n');
-                if !line.trim().is_empty() && RunRecord::parse_line(line.trim_end()).is_ok() {
-                    valid += 1;
-                }
-            }
-            (valid, newline_terminated)
+    use std::io::Write as _;
+    let mut existing = 0u64;
+    let mut ends_with_newline = true;
+    match read_lines(path, |line| {
+        ends_with_newline = line.ends_with(b"\n");
+        if let Some(Ok(_)) = decode_line(line) {
+            existing += 1;
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => (0, true),
+    }) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => return Err(format!("cannot read ledger `{}`: {e}", path.display())),
-    };
+    }
     record.sequence = existing + 1;
     let mut payload = String::new();
     if !ends_with_newline {
@@ -569,30 +812,29 @@ impl LedgerLoad {
     }
 }
 
-/// Loads a ledger, skipping corrupt lines. Each skipped line increments the
+/// Loads a ledger, skipping corrupt lines. The file is read as bytes and
+/// split on `\n`; a line that is not UTF-8 is corrupt like a malformed or
+/// unknown-schema one, so a record torn inside a multi-byte character costs
+/// one line, not the ledger. Each skipped line increments the
 /// `obs.ledger.skipped` counter on `sink` (and is tallied in the returned
-/// [`LedgerLoad::skipped`]). Loaded runs are re-stamped with consecutive
-/// 1-based sequences in file order, so histories assembled from several
-/// processes (or with holes from skipped lines) stay monotonic.
+/// [`LedgerLoad::skipped`]); blank lines are ignored. Loaded runs are
+/// re-stamped with consecutive 1-based sequences in file order, so
+/// histories assembled from several processes (or with holes from skipped
+/// lines) stay monotonic.
 pub fn load_ledger(path: &Path, sink: &TelemetrySink) -> Result<LedgerLoad, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read ledger `{}`: {e}", path.display()))?;
     let mut load = LedgerLoad::default();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
+    read_lines(path, |line| match decode_line(line) {
+        None => {}
+        Some(Ok(mut record)) => {
+            record.sequence = load.runs.len() as u64 + 1;
+            load.runs.push(record);
         }
-        match RunRecord::parse_line(line) {
-            Ok(mut record) => {
-                record.sequence = load.runs.len() as u64 + 1;
-                load.runs.push(record);
-            }
-            Err(_) => {
-                load.skipped += 1;
-                sink.incr("obs.ledger.skipped", 1);
-            }
+        Some(Err(_)) => {
+            load.skipped += 1;
+            sink.incr("obs.ledger.skipped", 1);
         }
-    }
+    })
+    .map_err(|e| format!("cannot read ledger `{}`: {e}", path.display()))?;
     Ok(load)
 }
 

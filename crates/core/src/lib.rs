@@ -74,4 +74,6 @@ mod tests_bench;
 #[cfg(test)]
 mod tests_extended;
 #[cfg(test)]
+mod tests_ledger;
+#[cfg(test)]
 mod tests_obs;

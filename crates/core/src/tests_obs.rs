@@ -1012,6 +1012,53 @@ fn append_contains_torn_tail_from_killed_writer() {
     assert_eq!(load.runs[1].sequence, 2);
 }
 
+/// A writer killed inside a multi-byte character leaves a tail that is not
+/// UTF-8. It is one corrupt line to every reader, not an error: the shard
+/// loads with its one run and one skipped line, and the next append stamps
+/// sequence 2 on a fresh line.
+#[test]
+fn torn_multibyte_tail_is_one_skipped_line() {
+    use crate::{shard_path, ShardedLedger};
+    let root = temp_ledger("torn-utf8").parent().unwrap().join("ledger");
+    let path = shard_path(&root, "alice", "cts1");
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    let mut first = record(100.0);
+    first.results[0].variables = [("größe", "8")].into();
+    append_run(&path, &mut first).unwrap();
+    let line = std::fs::read(&path).unwrap();
+    // the next record, cut between the two bytes of `ö`
+    let cut = line.iter().position(|&b| b == 0xc3).unwrap() + 1;
+    let mut torn = line.clone();
+    torn.extend_from_slice(&line[..cut]);
+    std::fs::write(&path, &torn).unwrap();
+    // and the garbage tail of a line torn mid-string, on its own line
+    let garbage = temp_ledger("utf8-garbage");
+    std::fs::write(
+        &garbage,
+        [&line[..], b"{\"schema\":3,\"garbage\xff\xfe"].concat(),
+    )
+    .unwrap();
+
+    let sink = TelemetrySink::recording();
+    for ledger in [&path, &garbage] {
+        let load = load_ledger(ledger, &sink).expect("a torn character is not fatal");
+        assert_eq!((load.runs.len(), load.skipped), (1, 1));
+    }
+    assert_eq!(sink.report().unwrap().counter("obs.ledger.skipped"), 2);
+    let sharded = ShardedLedger::load(&root, &TelemetrySink::noop()).unwrap();
+    assert_eq!((sharded.len(), sharded.merged.skipped), (1, 1));
+
+    let mut next = record(90.0);
+    assert_eq!(append_run(&path, &mut next).unwrap(), 2);
+    let bytes = std::fs::read(&path).unwrap();
+    let appended = [&torn[..], b"\n", next.to_json_line().as_bytes(), b"\n"].concat();
+    assert_eq!(bytes, appended, "the new record starts a fresh line");
+    let load = load_ledger(&path, &TelemetrySink::noop()).unwrap();
+    assert_eq!((load.runs.len(), load.skipped), (2, 1));
+    assert_eq!(load.runs[1].sequence, 2);
+    assert_eq!(&load.runs[0].results[0].variables["größe"], "8");
+}
+
 /// Shard discovery: `<root>/<tenant>/<system>.jsonl` files load sorted by
 /// `(tenant, system)`, the merged view re-stamps 1-based sequences in that
 /// order, and `tenant_view` exposes exactly one tenant's runs.

@@ -371,8 +371,14 @@ ramble:
 
 #[test]
 fn bp0207_invalid_regex() {
-    // the second pattern nests deep enough to overflow an unbounded parser
-    for pattern in ["(unclosed".to_string(), "(".repeat(200_000)] {
+    // the other patterns nest deep enough to overflow an unbounded parser,
+    // or repeat enough to overflow an unbounded compiler or matcher
+    for pattern in [
+        "(unclosed".to_string(),
+        "(".repeat(200_000),
+        "(?:a?){0,100000}b".to_string(),
+        "a{0,4000000000}".to_string(),
+    ] {
         let text = format!(
             "\
 ramble:

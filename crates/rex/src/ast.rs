@@ -7,6 +7,10 @@ use crate::error::RexError;
 /// exhaust the stack and abort the process.
 pub(crate) const MAX_DEPTH: usize = 128;
 
+/// Largest count a `{m,n}` repetition may use, as in RE2. The compiler
+/// emits one copy of the repeated atom per count.
+pub(crate) const MAX_REPEAT: u32 = 1000;
+
 /// A set of character ranges, possibly negated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassSet {
@@ -282,23 +286,28 @@ impl Parser<'_> {
             }
             _ => None,
         };
-        if result.is_none() {
-            self.pos = start; // rewind: `{` is a literal
-            return Ok(None);
+        match result {
+            None => {
+                self.pos = start; // rewind: `{` is a literal
+                Ok(None)
+            }
+            Some((m, n)) if m.max(n.unwrap_or(0)) > MAX_REPEAT => Err(RexError::new(
+                start,
+                format!("repetition count above {MAX_REPEAT}"),
+            )),
+            Some(counted) => Ok(Some(counted)),
         }
-        Ok(result)
     }
 
+    /// A decimal count, saturating at `u32::MAX`.
     fn parse_number(&mut self) -> Option<u32> {
         let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+        let mut n = 0u32;
+        while let Some(digit) = self.peek().and_then(|c| c.to_digit(10)) {
+            n = n.saturating_mul(10).saturating_add(digit);
             self.pos += 1;
         }
-        if self.pos == start {
-            return None;
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        text.parse().ok()
+        (self.pos > start).then_some(n)
     }
 
     /// atom := group | class | escape | anchor | literal

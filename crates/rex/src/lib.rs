@@ -9,7 +9,8 @@
 //! * literals, `.`, escapes (`\d \w \s \D \W \S \n \t \r` and escaped
 //!   metacharacters),
 //! * character classes `[a-z0-9_]` and negated classes `[^…]`, with ranges,
-//! * greedy and lazy quantifiers `* + ? {m} {m,} {m,n}` (`*?` etc.),
+//! * greedy and lazy quantifiers `* + ? {m} {m,} {m,n}` (`*?` etc.), with
+//!   counts up to 1000 as in RE2,
 //! * alternation `|`, grouping `(…)`, non-capturing `(?:…)`,
 //! * named groups `(?P<name>…)` (Python style, as the paper uses) and
 //!   `(?<name>…)`,
@@ -107,7 +108,7 @@ impl Regex {
     /// Compiles `pattern`.
     pub fn new(pattern: &str) -> Result<Regex, RexError> {
         let ast = ast::parse(pattern)?;
-        let program = prog::compile(&ast);
+        let program = prog::compile(&ast)?;
         Ok(Regex {
             pattern: pattern.to_string(),
             program,

@@ -1,6 +1,12 @@
 //! Compilation of the AST into Pike-VM bytecode.
 
 use crate::ast::{Assertion, Ast, ClassSet, Parsed};
+use crate::error::RexError;
+
+/// Largest program [`compile`] emits. Counted repetitions copy their atom,
+/// so nested ones multiply (`((a{1000}){1000}){1000}` would be 10⁹
+/// instructions); a pattern past the cap is an error, as in RE2.
+pub(crate) const MAX_INSTS: usize = 100_000;
 
 /// One VM instruction.
 #[derive(Debug, Clone)]
@@ -39,19 +45,26 @@ pub struct Program {
 /// Compiles a parsed pattern.
 ///
 /// The program begins with `Save(0)` and ends with `Save(1); Match`; the
-/// search loop handles the unanchored-prefix scan itself.
-pub fn compile(parsed: &Parsed) -> Program {
+/// search loop handles the unanchored-prefix scan itself. A program longer
+/// than [`MAX_INSTS`] is an error.
+pub fn compile(parsed: &Parsed) -> Result<Program, RexError> {
     let mut c = Compiler { insts: Vec::new() };
     c.push(Inst::Save(0));
     c.emit(&parsed.ast);
+    if c.insts.len() > MAX_INSTS {
+        return Err(RexError::new(
+            0,
+            format!("pattern compiles to more than {MAX_INSTS} instructions"),
+        ));
+    }
     c.push(Inst::Save(1));
     c.push(Inst::Match);
-    Program {
+    Ok(Program {
         insts: c.insts,
         slot_count: parsed.group_count * 2,
         names: parsed.names.clone(),
         anchored_start: starts_anchored(&parsed.ast),
-    }
+    })
 }
 
 fn starts_anchored(ast: &Ast) -> bool {
@@ -79,6 +92,9 @@ impl Compiler {
     }
 
     fn emit(&mut self, ast: &Ast) {
+        if self.insts.len() > MAX_INSTS {
+            return; // over the cap already: `compile` fails
+        }
         match ast {
             Ast::Empty => {}
             Ast::Lit(c) => {

@@ -245,6 +245,30 @@ fn nesting_is_bounded_not_fatal() {
     }
 }
 
+/// Counted repetition is bounded too: a count above 1000 or a program past
+/// `MAX_INSTS` is a `RexError`, and a long legal chain of epsilon
+/// transitions matches without recursing once per transition.
+#[test]
+fn repetition_is_bounded_not_fatal() {
+    use crate::prog::MAX_INSTS;
+    for pattern in [
+        "(?:a?){0,100000}b",
+        "a{0,4000000000}",
+        "a{1001}",
+        "a{99999999999999}",
+    ] {
+        let err = Regex::new(pattern).unwrap_err();
+        assert!(err.message.contains("above 1000"), "{pattern}: {err}");
+    }
+    let err = Regex::new("((a{1000}){1000}){1000}").unwrap_err();
+    assert!(err.message.contains(&MAX_INSTS.to_string()), "{err}");
+    assert!(Regex::new("a{1000}").unwrap().is_match(&"a".repeat(1000)));
+    // 30,000 optional atoms: a 30,000-deep epsilon closure from the start
+    let re = Regex::new("(?:(?:a?){1000}){30}b").unwrap();
+    assert_eq!(re.find("xb").map(|m| (m.start, m.end)), Some((1, 2)));
+    assert!(re.is_match(&format!("{}b", "a".repeat(50))));
+}
+
 #[test]
 fn pathological_pattern_is_linear() {
     // (a+)+b on a long run of 'a's: catastrophic for backtrackers,

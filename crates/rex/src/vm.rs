@@ -65,39 +65,68 @@ impl AssertCtx {
     }
 }
 
-/// Adds `pc` (and its epsilon closure) to `list` with the given slots.
+/// One step of the epsilon-closure walk in [`add_thread`].
+enum Frame {
+    /// Follow the program from this pc.
+    Explore(usize),
+    /// Put a capture slot back as it was before a `Save` below it.
+    Restore(usize, Option<usize>),
+}
+
+/// The explicit stack and working capture slots of [`add_thread`], kept
+/// across calls so the walk allocates only the threads it adds.
+#[derive(Default)]
+struct Walk {
+    stack: Vec<Frame>,
+    slots: Vec<Option<usize>>,
+}
+
+/// Adds `pc` (and its epsilon closure) to `list` with the given slots, in
+/// priority order. The closure is walked depth first on an explicit stack,
+/// so a long chain of splits (a large counted repetition) cannot overflow
+/// the call stack.
 fn add_thread(
     prog: &Program,
     list: &mut ThreadList,
+    walk: &mut Walk,
     pc: usize,
     pos: usize,
     ctx: AssertCtx,
     slots: &[Option<usize>],
 ) {
-    if !list.mark(pc) {
-        return;
-    }
-    match &prog.insts[pc] {
-        Inst::Jmp(target) => add_thread(prog, list, *target, pos, ctx, slots),
-        Inst::Split { first, second } => {
-            add_thread(prog, list, *first, pos, ctx, slots);
-            add_thread(prog, list, *second, pos, ctx, slots);
-        }
-        Inst::Save(slot) => {
-            let mut new_slots = slots.to_vec();
-            new_slots[*slot] = Some(pos);
-            add_thread(prog, list, pc + 1, pos, ctx, &new_slots);
-        }
-        Inst::Assert(a) => {
-            if ctx.holds(*a) {
-                add_thread(prog, list, pc + 1, pos, ctx, slots);
+    walk.slots.clear();
+    walk.slots.extend_from_slice(slots);
+    walk.stack.push(Frame::Explore(pc));
+    while let Some(frame) = walk.stack.pop() {
+        let mut pc = match frame {
+            Frame::Explore(pc) => pc,
+            Frame::Restore(slot, saved) => {
+                walk.slots[slot] = saved;
+                continue;
             }
-        }
-        Inst::Char(_) | Inst::Any | Inst::Class(_) | Inst::Match => {
-            list.threads.push(Thread {
-                pc,
-                slots: slots.to_vec(),
-            });
+        };
+        while list.mark(pc) {
+            match &prog.insts[pc] {
+                Inst::Jmp(target) => pc = *target,
+                Inst::Split { first, second } => {
+                    walk.stack.push(Frame::Explore(*second));
+                    pc = *first;
+                }
+                Inst::Save(slot) => {
+                    walk.stack.push(Frame::Restore(*slot, walk.slots[*slot]));
+                    walk.slots[*slot] = Some(pos);
+                    pc += 1;
+                }
+                Inst::Assert(a) if ctx.holds(*a) => pc += 1,
+                Inst::Assert(_) => break,
+                Inst::Char(_) | Inst::Any | Inst::Class(_) | Inst::Match => {
+                    list.threads.push(Thread {
+                        pc,
+                        slots: walk.slots.clone(),
+                    });
+                    break;
+                }
+            }
         }
     }
 }
@@ -119,6 +148,7 @@ pub fn search(prog: &Program, haystack: &str, at: usize) -> Option<Vec<Option<us
     nlist.clear();
 
     let empty_slots = vec![None; prog.slot_count];
+    let mut walk = Walk::default();
     let mut matched: Option<Vec<Option<usize>>> = None;
 
     // Walk positions `at..=len` (the final position processes end-of-input).
@@ -145,7 +175,7 @@ pub fn search(prog: &Program, haystack: &str, at: usize) -> Option<Vec<Option<us
         // unless the pattern is anchored past position `at` or we already
         // have a match (leftmost wins).
         if matched.is_none() && (!prog.anchored_start || pos == at) {
-            add_thread(prog, &mut clist, 0, pos, ctx, &empty_slots);
+            add_thread(prog, &mut clist, &mut walk, 0, pos, ctx, &empty_slots);
         }
 
         if clist.threads.is_empty() && matched.is_some() {
@@ -192,7 +222,7 @@ pub fn search(prog: &Program, haystack: &str, at: usize) -> Option<Vec<Option<us
             next_is_word: peek_next.is_some_and(ClassSet::is_word_char),
         };
         for t in raw {
-            add_thread(prog, &mut clist, t.pc, new_pos, ctx2, &t.slots);
+            add_thread(prog, &mut clist, &mut walk, t.pc, new_pos, ctx2, &t.slots);
         }
 
         prev_char = consumed;

@@ -38,7 +38,7 @@ mod value;
 
 pub use emitter::emit;
 pub use error::{ParseError, Result};
-pub use json::{emit_json, json_number, json_string, parse_json};
+pub use json::{emit_json, json_number, json_string, parse_json, JsonCursor, Token};
 pub use parser::{parse, parse_spanned};
 pub use span::{Span, SpannedEntry, SpannedMap, SpannedNode, SpannedValue};
 pub use value::{Map, Value};
